@@ -1,15 +1,15 @@
-//! Secure-side fragment executor.
+//! Tree-walk reference interpreter for fragments: the test oracle.
 //!
-//! Runs one [`Fragment`] against a component's persistent hidden variables
-//! and the scalar arguments shipped by the open side. Fragments are
-//! restricted by construction (scalar-only, no calls, no aggregates, no
-//! returns); anything outside that subset raises
+//! The secure side runs every fragment on the bytecode VM
+//! ([`crate::bytecode`]); this module's only role is to define the
+//! reference semantics that VM must reproduce. `tests/vm_differential.rs`
+//! and the `bytecode` unit tests call it directly and compare value,
+//! hidden-var state, cost and error. It also owns the types both engines
+//! share ([`FragOutcome`], [`FRAGMENT_STEP_LIMIT`]).
+//!
+//! Fragments are restricted by construction (scalar-only, no calls, no
+//! aggregates, no returns); anything outside that subset raises
 //! [`RuntimeError::IllegalFragmentOp`] — it would indicate a splitter bug.
-//!
-//! Fragment execution is single-threaded by design: a fragment only ever
-//! runs on the thread owning its component's hidden variables (one shard
-//! executor in [`crate::shard`], or the caller's thread in-process), so
-//! per-shard fragment counters need no synchronisation with execution.
 
 use crate::cost::CostModel;
 use crate::error::RuntimeError;

@@ -9,7 +9,9 @@
 //!   deterministic virtual-time cost accounting ([`cost::CostModel`]).
 //! * [`server`] — the secure-side executor: holds a
 //!   [`hps_ir::HiddenProgram`], keeps per-activation / per-instance hidden
-//!   state, and runs fragments on request.
+//!   state, and runs fragments on request on the compile-once bytecode VM
+//!   ([`bytecode`]). [`fragment`] is the tree-walk reference that the VM
+//!   is tested against; nothing else runs it.
 //! * [`channel`] — the open↔hidden transport abstraction; in-process with a
 //!   configurable round-trip cost for deterministic experiments.
 //! * [`tcp`] — a real TCP transport (length-prefixed binary protocol,
@@ -23,7 +25,7 @@
 //! can be buffered and shipped together with the next demanded call as one
 //! [`channel::PendingCall`] batch ([`interp::Executor::batching`] /
 //! [`interp::ExecConfig::batching`]). On the wire this is one
-//! `Request::Batch` frame (tag `0x04`) answered by one `Response::Batch`
+//! `Request::SeqBatch` frame (tag `0x07`) answered by one `Response::Batch`
 //! frame (tag `0x12`) — see [`wire`]. Batching coalesces transport only:
 //! the secure side still executes and meters every logical call in order,
 //! and [`trace::TraceChannel`] still records each one, so the adversary's
@@ -33,7 +35,7 @@
 //!
 //! The transport also survives flaky links (DESIGN.md §7b):
 //!
-//! * [`tcp::TcpChannel::connect_reliable`] opens a *session* and retries
+//! * [`tcp::TcpChannel::connect`] opens a *session* and retries
 //!   each round trip under a [`tcp::RetryPolicy`] (timeouts, reconnect
 //!   with exponential backoff + jitter, sequenced retransmits).
 //! * [`tcp::SessionServer`] accepts many clients and deduplicates
@@ -116,8 +118,7 @@ pub use cost::CostModel;
 pub use error::{FaultClass, RuntimeError};
 pub use fault::{CrashConfig, CrashFault, FaultKind, FaultPlan, FaultyChannel};
 pub use interp::{
-    run_function, run_program, run_split, run_split_batched, run_split_faulty, run_split_with_rtt,
-    ExecConfig, ExecReport, Executor, Interp, Outcome, SplitMeta, SplitOutcome,
+    run_function, run_program, ExecConfig, ExecReport, Executor, Interp, Outcome, SplitMeta,
 };
 pub use journal::{JournalOp, SessionJournal};
 pub use memo::MemoTable;

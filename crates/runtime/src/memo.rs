@@ -52,7 +52,6 @@ use std::sync::Mutex;
 /// Reads `HPS_FRAGMENT_MEMO`: memoization is on by default, `0`/`false`/
 /// `off`/`no` disable it (used by `ExecConfig`, `SecureServer` and
 /// `SessionServer` defaults; `hps run/serve --no-memo` overrides directly).
-/// Mirrors [`crate::bytecode::vm_enabled_by_default`].
 pub fn memo_enabled_by_default() -> bool {
     match std::env::var("HPS_FRAGMENT_MEMO") {
         Ok(v) => !matches!(

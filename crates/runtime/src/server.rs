@@ -5,10 +5,10 @@
 //! created lazily on first touch (so no extra round trip is needed to open
 //! an activation) and freed on [`SecureServer::release`].
 
-use crate::bytecode::{run_compiled, vm_enabled_by_default, VmCache};
+use crate::bytecode::{run_compiled, VmCache};
 use crate::cost::CostModel;
 use crate::error::RuntimeError;
-use crate::fragment::{run_fragment, FragOutcome};
+use crate::fragment::FragOutcome;
 use crate::memo::{memo_enabled_by_default, MemoTable};
 use crate::value::RtValue;
 use hps_ir::{ComponentId, FragLabel, HiddenProgram, Value};
@@ -139,10 +139,10 @@ pub struct SecureServer {
     calls_served: u64,
     cost_spent: u64,
     recorder: RecorderHandle,
-    /// Compile-once fragment bytecode cache; `None` runs the tree-walk.
-    /// Shardable: the cache may be shared with other servers of the same
-    /// hidden program via [`SecureServer::with_vm_cache`].
-    vm: Option<Arc<VmCache>>,
+    /// Compile-once fragment bytecode cache: every fragment runs on the
+    /// VM. Shardable: the cache may be shared with other servers of the
+    /// same hidden program via [`SecureServer::with_vm_cache`].
+    vm: Arc<VmCache>,
     /// Content-addressed cache of pure-fragment outcomes; `None` always
     /// executes. Shardable like the VM cache
     /// ([`SecureServer::with_memo_table`]). Hits replay the cached cost and
@@ -151,15 +151,14 @@ pub struct SecureServer {
 }
 
 impl SecureServer {
-    /// Creates a server installing the given hidden program.
+    /// Creates a server installing the given hidden program, with a fresh
+    /// compile-once bytecode cache.
     ///
-    /// The fragment bytecode VM is enabled by default; set
-    /// `HPS_FRAGMENT_VM=0` or call [`SecureServer::with_fragment_vm`]
-    /// to fall back to the tree-walk (differential testing). Pure-fragment
-    /// memoization is likewise on by default; set `HPS_FRAGMENT_MEMO=0` or
-    /// call [`SecureServer::with_fragment_memo`] to always execute.
+    /// Pure-fragment memoization is on by default; set
+    /// `HPS_FRAGMENT_MEMO=0` or call [`SecureServer::with_fragment_memo`]
+    /// to always execute.
     pub fn new(hidden: HiddenProgram) -> SecureServer {
-        let vm = vm_enabled_by_default().then(|| Arc::new(VmCache::for_program(&hidden)));
+        let vm = Arc::new(VmCache::for_program(&hidden));
         let memo = memo_enabled_by_default().then(|| Arc::new(MemoTable::for_program(&hidden)));
         SecureServer {
             hidden,
@@ -180,19 +179,14 @@ impl SecureServer {
         self
     }
 
-    /// Enables or disables the fragment bytecode VM (builder style).
-    /// Enabling creates a fresh empty cache for this server's program.
-    pub fn with_fragment_vm(mut self, enabled: bool) -> SecureServer {
-        self.vm = enabled.then(|| Arc::new(VmCache::for_program(&self.hidden)));
-        self
-    }
-
     /// Shares an existing compile-once cache (builder style) — the shard
     /// pool hands every session of a shard the same cache so each fragment
     /// lowers at most once per shard. The cache must have been built for
-    /// this server's hidden program and cost model.
+    /// this server's hidden program and cost model; a call to a fragment
+    /// the cache has no slot for fails with
+    /// [`RuntimeError::UnknownFragment`].
     pub fn with_vm_cache(mut self, cache: Arc<VmCache>) -> SecureServer {
-        self.vm = Some(cache);
+        self.vm = cache;
         self
     }
 
@@ -267,26 +261,22 @@ impl SecureServer {
                 return Ok(FragOutcome { value, cost });
             }
         }
-        let compiled = self.vm.as_ref().and_then(|cache| {
-            cache.get_or_compile(
+        let (code, fresh) = self
+            .vm
+            .get_or_compile(
                 component.index(),
                 position,
                 fragment,
                 n_vars,
                 &self.cost_model,
             )
+            .ok_or(RuntimeError::UnknownFragment { component, label })?;
+        self.recorder.record(if fresh {
+            Event::VmCompile
+        } else {
+            Event::VmCacheHit
         });
-        let outcome = match compiled {
-            Some((code, fresh)) => {
-                self.recorder.record(if fresh {
-                    Event::VmCompile
-                } else {
-                    Event::VmCacheHit
-                });
-                run_compiled(code, vars, args)?
-            }
-            None => run_fragment(fragment, vars, args, &self.cost_model)?,
-        };
+        let outcome = run_compiled(code, vars, args)?;
         self.calls_served += 1;
         self.cost_spent += outcome.cost;
         self.recorder.record(Event::Fragment { cost: outcome.cost });
@@ -353,25 +343,20 @@ impl SecureServer {
         self.state.len()
     }
 
-    /// True when fragment calls execute on the bytecode VM.
-    pub fn fragment_vm_enabled(&self) -> bool {
-        self.vm.is_some()
-    }
-
     /// Fragments lowered to bytecode by this server's cache (shared caches
     /// report the shared totals).
     pub fn vm_compiles(&self) -> u64 {
-        self.vm.as_ref().map_or(0, |c| c.compiles())
+        self.vm.compiles()
     }
 
     /// Fragment executions served from already-compiled bytecode.
     pub fn vm_cache_hits(&self) -> u64 {
-        self.vm.as_ref().map_or(0, |c| c.cache_hits())
+        self.vm.cache_hits()
     }
 
     /// Wall-clock nanoseconds this server's cache spent lowering fragments.
     pub fn vm_compile_nanos(&self) -> u64 {
-        self.vm.as_ref().map_or(0, |c| c.compile_nanos())
+        self.vm.compile_nanos()
     }
 
     /// True when pure-fragment memoization is enabled.
@@ -515,23 +500,36 @@ mod tests {
     }
 
     #[test]
-    fn vm_and_tree_walk_agree_and_cache_counts() {
-        let mk = |vm| SecureServer::new(counter_program()).with_fragment_vm(vm);
-        let mut on = mk(true);
-        let mut off = mk(false);
-        assert!(on.fragment_vm_enabled());
-        assert!(!off.fragment_vm_enabled());
+    fn vm_matches_the_tree_walk_oracle_and_cache_counts() {
+        let hidden = counter_program();
+        let mut server = SecureServer::new(hidden.clone());
+        let fragment = &hidden.components[0].fragments[0];
+        let mut oracle_vars = vec![RtValue::default_of(&Ty::Int)];
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
         for i in 0..4 {
-            let a = on.call(c, 1, l, &[Value::Int(i)]).unwrap();
-            let b = off.call(c, 1, l, &[Value::Int(i)]).unwrap();
-            assert_eq!(a, b);
+            let vm = server.call(c, 1, l, &[Value::Int(i)]).unwrap();
+            let tree = crate::fragment::run_fragment(
+                fragment,
+                &mut oracle_vars,
+                &[Value::Int(i)],
+                &CostModel::new(),
+            )
+            .unwrap();
+            assert_eq!(vm, tree);
         }
-        assert_eq!(on.cost_spent(), off.cost_spent());
-        assert_eq!(on.vm_compiles(), 1, "one fragment lowers once");
-        assert_eq!(on.vm_cache_hits(), 3);
-        assert_eq!(off.vm_compiles() + off.vm_cache_hits(), 0);
+        assert_eq!(server.vm_compiles(), 1, "one fragment lowers once");
+        assert_eq!(server.vm_cache_hits(), 3);
+    }
+
+    #[test]
+    fn mismatched_vm_cache_reports_unknown_fragment() {
+        let mut server = SecureServer::new(counter_program())
+            .with_vm_cache(Arc::new(VmCache::for_program(&HiddenProgram::new())));
+        assert!(matches!(
+            server.call(ComponentId::new(0), 1, FragLabel::new(0), &[Value::Int(1)]),
+            Err(RuntimeError::UnknownFragment { .. })
+        ));
     }
 
     /// One component, no hidden vars; L0(p): pure `ret p * p + p`.

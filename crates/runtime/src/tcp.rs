@@ -5,8 +5,8 @@
 //! Frames are the [`crate::wire`] protocol. Each connection keeps a
 //! persistent buffered reader/writer pair and reuses one encode buffer, so
 //! steady-state calls perform no per-call allocation for framing. Batched
-//! calls ([`Channel::call_batch`]) travel as one `Request::Batch` frame and
-//! count as a single interaction.
+//! calls ([`Channel::call_batch`]) travel as one `Request::SeqBatch` frame
+//! and count as a single interaction.
 //!
 //! ## Reliability layer
 //!
@@ -14,17 +14,19 @@
 //! server restarts without changing the adversary-visible interaction
 //! sequence (DESIGN.md §7b):
 //!
-//! * **Client** — [`TcpChannel::connect_reliable`] opens a *session*
+//! * **Client** — [`TcpChannel::connect`] opens a *session*
 //!   (`Hello`/`HelloAck` handshake, version-checked), applies read/write
 //!   timeouts from its [`RetryPolicy`], and sends every logical round trip
 //!   as a sequenced frame. On a retryable fault it reconnects with
 //!   exponential backoff plus deterministic jitter (vendored rand shim)
 //!   and retransmits the same sequence number.
 //! * **Server** — [`SessionServer`] accepts many clients (thread per
-//!   connection), keys one [`SecureServer`] per session id, and
-//!   deduplicates retransmits through a [`crate::server::ReplayCache`] of
-//!   encoded response frames: a retried call whose response was lost is answered
-//!   from the cache, never re-executed. Sequence gaps are terminal.
+//!   connection), keys one [`crate::server::SecureServer`] per session
+//!   id, and deduplicates retransmits through a
+//!   [`crate::server::ReplayCache`] of encoded response frames: a retried
+//!   call whose response was lost is answered from the cache, never
+//!   re-executed. Sequence gaps are terminal. A connection whose first
+//!   frame is not a `Hello` gets a `0x11 error` frame and is closed.
 //!   Sessions execute on a pool of shard threads ([`crate::shard`]), each
 //!   owning the state of the sessions hashed to it — lock-free hidden
 //!   execution that scales with cores while keeping every per-session
@@ -37,7 +39,6 @@
 use crate::channel::{CallReply, Channel, PendingCall, TransportStats};
 use crate::error::{FaultClass, RuntimeError};
 use crate::fault::CrashConfig;
-use crate::server::SecureServer;
 use crate::shard::{ExecMsg, ShardConfig, ShardPool, ShardSenders, StatsInner};
 use crate::wire::{read_frame, write_frame, Request, Response, WIRE_VERSION};
 use hps_ir::{ComponentId, FragLabel, HiddenProgram, Value};
@@ -143,10 +144,17 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Reliable-mode state: where to reconnect, how to retry, and the session
-/// sequencing the server uses to deduplicate retransmits.
+/// Client side: a [`Channel`] that ships every call over one session of a
+/// remote [`SessionServer`].
 #[derive(Debug)]
-struct Reliable {
+pub struct TcpChannel {
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
+    scratch: Vec<u8>,
+    interactions: u64,
+    rtt_cost: u64,
+    batch_cap: usize,
+    /// Where to reconnect after a retryable fault.
     addrs: Vec<SocketAddr>,
     policy: RetryPolicy,
     session: u64,
@@ -158,19 +166,6 @@ struct Reliable {
     /// [`TcpChannel::resume_session`].
     history: std::collections::VecDeque<(u64, Vec<u8>)>,
     rng: StdRng,
-}
-
-/// Client side: a [`Channel`] that ships every call to a remote
-/// [`SecureServer`] over TCP.
-#[derive(Debug)]
-pub struct TcpChannel {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    scratch: Vec<u8>,
-    interactions: u64,
-    rtt_cost: u64,
-    batch_cap: usize,
-    reliable: Option<Reliable>,
     stats: TransportStats,
     recorder: RecorderHandle,
 }
@@ -212,33 +207,18 @@ fn connect_stream(addrs: &[SocketAddr], timeout: Duration) -> Result<TcpStream, 
 }
 
 impl TcpChannel {
-    /// Connects to a secure server in single-shot mode: no session, no
-    /// retries — any transport fault is returned to the caller.
+    /// [`TcpChannel::connect_reliable`] under the default [`RetryPolicy`].
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Transport`] if the connection fails.
+    /// As [`TcpChannel::connect_reliable`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<TcpChannel, RuntimeError> {
-        let stream =
-            TcpStream::connect(addr).map_err(|e| RuntimeError::transport("connect", &e))?;
-        let (reader, writer) = split_stream(stream)?;
-        Ok(TcpChannel {
-            reader,
-            writer,
-            scratch: Vec::with_capacity(256),
-            interactions: 0,
-            rtt_cost: 0,
-            batch_cap: usize::from(u16::MAX),
-            reliable: None,
-            stats: TransportStats::default(),
-            recorder: RecorderHandle::none(),
-        })
+        TcpChannel::connect_reliable(addr, RetryPolicy::default())
     }
 
-    /// Connects in reliable mode: opens a session with the `Hello`
-    /// handshake and transparently retries each round trip under `policy`
-    /// (timeouts, reconnect with exponential backoff + jitter, sequenced
-    /// exactly-once replay).
+    /// Opens a session with the `Hello` handshake and transparently
+    /// retries each round trip under `policy` (timeouts, reconnect with
+    /// exponential backoff + jitter, sequenced exactly-once replay).
     ///
     /// # Errors
     ///
@@ -289,14 +269,12 @@ impl TcpChannel {
             interactions: 0,
             rtt_cost: 0,
             batch_cap: usize::from(u16::MAX),
-            reliable: Some(Reliable {
-                addrs,
-                policy,
-                session,
-                next_seq: 1,
-                history: std::collections::VecDeque::new(),
-                rng,
-            }),
+            addrs,
+            policy,
+            session,
+            next_seq: 1,
+            history: std::collections::VecDeque::new(),
+            rng,
             stats: TransportStats::default(),
             recorder: RecorderHandle::none(),
         };
@@ -328,13 +306,13 @@ impl TcpChannel {
         self
     }
 
-    /// The session id, when connected in reliable mode.
-    pub fn session_id(&self) -> Option<u64> {
-        self.reliable.as_ref().map(|r| r.session)
+    /// The session id.
+    pub fn session_id(&self) -> u64 {
+        self.session
     }
 
-    /// Asks the remote server to stop serving this connection. In reliable
-    /// mode the server keeps the session state for a later reconnect.
+    /// Asks the remote server to stop serving this connection. The server
+    /// keeps the session state for a later reconnect.
     ///
     /// # Errors
     ///
@@ -346,10 +324,9 @@ impl TcpChannel {
 
     /// Performs the `Hello`/`HelloAck` handshake on the current connection.
     fn handshake(&mut self) -> Result<(), RuntimeError> {
-        let r = self.reliable.as_ref().expect("reliable mode");
         let hello = Request::Hello {
             version: WIRE_VERSION,
-            session: r.session,
+            session: self.session,
         };
         let mut buf = Vec::with_capacity(16);
         hello.encode_into(&mut buf);
@@ -365,8 +342,7 @@ impl TcpChannel {
                 session,
                 next_seq,
             } => {
-                let r = self.reliable.as_ref().expect("reliable mode");
-                if version != WIRE_VERSION || session != r.session {
+                if version != WIRE_VERSION || session != self.session {
                     return Err(RuntimeError::Channel(format!(
                         "handshake mismatch: version {version} session {session}"
                     )));
@@ -375,16 +351,16 @@ impl TcpChannel {
                 // outstanding seq but the response was lost, so the
                 // retransmit will hit the replay cache. Further ahead is a
                 // protocol violation.
-                if next_seq > r.next_seq + 1 {
+                if next_seq > self.next_seq + 1 {
                     return Err(RuntimeError::Channel(format!(
                         "server expects seq {next_seq}, client is at {}",
-                        r.next_seq
+                        self.next_seq
                     )));
                 }
                 // The server may also come back *behind*: a recovered
                 // server whose journal lost a committed tail. Re-drive
                 // the missing frames from the resume window.
-                if next_seq < r.next_seq {
+                if next_seq < self.next_seq {
                     return self.resume_session(next_seq);
                 }
                 Ok(())
@@ -405,25 +381,22 @@ impl TcpChannel {
     /// interaction or transport counter moves. Responses are discarded:
     /// the client already delivered these calls' results.
     fn resume_session(&mut self, server_next: u64) -> Result<(), RuntimeError> {
-        let (frames, client_next, window) = {
-            let r = self.reliable.as_ref().expect("reliable mode");
-            let frames: Vec<Vec<u8>> = r
-                .history
-                .iter()
-                .filter(|(seq, _)| *seq >= server_next)
-                .map(|(_, frame)| frame.clone())
-                .collect();
-            (frames, r.next_seq, r.policy.resume_window)
-        };
-        let missing = client_next - server_next;
+        let frames: Vec<Vec<u8>> = self
+            .history
+            .iter()
+            .filter(|(seq, _)| *seq >= server_next)
+            .map(|(_, frame)| frame.clone())
+            .collect();
+        let missing = self.next_seq - server_next;
         if frames.len() as u64 != missing {
             return Err(RuntimeError::Transport {
                 class: FaultClass::Terminal,
                 op: "resume",
                 detail: format!(
                     "server lost {missing} committed units but the resume \
-                     window holds {} (cap {window})",
-                    frames.len()
+                     window holds {} (cap {})",
+                    frames.len(),
+                    self.policy.resume_window
                 ),
             });
         }
@@ -443,11 +416,7 @@ impl TcpChannel {
 
     /// Re-establishes the connection and re-opens the session.
     fn reconnect(&mut self) -> Result<(), RuntimeError> {
-        let (addrs, timeout) = {
-            let r = self.reliable.as_ref().expect("reliable mode");
-            (r.addrs.clone(), r.policy.socket_timeout())
-        };
-        let stream = connect_stream(&addrs, timeout)?;
+        let stream = connect_stream(&self.addrs, self.policy.socket_timeout())?;
         let (reader, writer) = split_stream(stream)?;
         self.reader = reader;
         self.writer = writer;
@@ -470,20 +439,17 @@ impl TcpChannel {
 
     /// Sleeps `base_backoff · 2^attempt` plus deterministic jitter.
     fn backoff(&mut self, attempt: u32) {
-        let r = self.reliable.as_mut().expect("reliable mode");
-        let base = r.policy.base_backoff;
+        let base = self.policy.base_backoff;
         let exp = base.saturating_mul(1u32 << attempt.min(10));
-        let jitter_us = r.rng.gen_range(0..=base.as_micros().max(1) as u64);
+        let jitter_us = self.rng.gen_range(0..=base.as_micros().max(1) as u64);
         std::thread::sleep(exp + Duration::from_micros(jitter_us));
     }
 
-    /// Sends the request already encoded in `scratch`; in reliable mode
-    /// retries retryable faults with backoff + reconnect, retransmitting
-    /// the identical frame so the server's replay cache can deduplicate.
+    /// Sends the request already encoded in `scratch`, retrying retryable
+    /// faults with backoff + reconnect and retransmitting the identical
+    /// frame so the server's replay cache can deduplicate.
     fn round_trip_encoded(&mut self) -> Result<Response, RuntimeError> {
-        let Some(policy) = self.reliable.as_ref().map(|r| r.policy) else {
-            return self.try_round_trip();
-        };
+        let policy = self.policy;
         let started = Instant::now();
         let mut attempt = 0u32;
         loop {
@@ -522,51 +488,20 @@ impl TcpChannel {
         }
     }
 
-    fn round_trip(&mut self, req: &Request) -> Result<Response, RuntimeError> {
+    /// Sends one sequenced call/batch frame and advances the sequence
+    /// only after a reply arrived.
+    fn sequenced(&mut self, req: &Request) -> Result<Response, RuntimeError> {
         req.encode_into(&mut self.scratch);
-        self.round_trip_encoded()
-    }
-
-    /// Wraps a call/batch request in its sequenced form when a session is
-    /// open; advances the sequence only after a successful reply.
-    fn sequenced(&mut self, req: Request) -> Result<Response, RuntimeError> {
-        let req = match (&self.reliable, req) {
-            (
-                Some(r),
-                Request::Call {
-                    component,
-                    key,
-                    label,
-                    args,
-                },
-            ) => Request::SeqCall {
-                seq: r.next_seq,
-                call: PendingCall {
-                    component,
-                    key,
-                    label,
-                    args,
-                },
-            },
-            (Some(r), Request::Batch(calls)) => Request::SeqBatch {
-                seq: r.next_seq,
-                calls,
-            },
-            (_, req) => req,
-        };
-        let resp = self.round_trip(&req)?;
-        if let Some(r) = self.reliable.as_mut() {
-            // Keep the committed frame so a recovered server that lost its
-            // journal tail can be re-driven (resume_session); the window is
-            // bounded by `RetryPolicy::resume_window`.
-            if matches!(req, Request::SeqCall { .. } | Request::SeqBatch { .. }) {
-                r.history.push_back((r.next_seq, self.scratch.clone()));
-                while r.history.len() > r.policy.resume_window {
-                    r.history.pop_front();
-                }
-            }
-            r.next_seq += 1;
+        let resp = self.round_trip_encoded()?;
+        // Keep the committed frame so a recovered server that lost its
+        // journal tail can be re-driven (resume_session); the window is
+        // bounded by `RetryPolicy::resume_window`.
+        self.history
+            .push_back((self.next_seq, self.scratch.clone()));
+        while self.history.len() > self.policy.resume_window {
+            self.history.pop_front();
         }
+        self.next_seq += 1;
         Ok(resp)
     }
 }
@@ -580,11 +515,14 @@ impl Channel for TcpChannel {
         args: &[Value],
     ) -> Result<CallReply, RuntimeError> {
         self.interactions += 1;
-        let resp = self.sequenced(Request::Call {
-            component,
-            key,
-            label,
-            args: args.to_vec(),
+        let resp = self.sequenced(&Request::SeqCall {
+            seq: self.next_seq,
+            call: PendingCall {
+                component,
+                key,
+                label,
+                args: args.to_vec(),
+            },
         })?;
         match resp {
             Response::Reply { value, server_cost } => {
@@ -617,7 +555,10 @@ impl Channel for TcpChannel {
             return Ok(out);
         }
         self.interactions += 1;
-        let resp = self.sequenced(Request::Batch(calls.to_vec()))?;
+        let resp = self.sequenced(&Request::SeqBatch {
+            seq: self.next_seq,
+            calls: calls.to_vec(),
+        })?;
         match resp {
             Response::Batch(replies) if replies.len() == calls.len() => {
                 for (call, reply) in calls.iter().zip(&replies) {
@@ -666,124 +607,6 @@ impl Channel for TcpChannel {
     }
 }
 
-/// Handles one request on a legacy (unsequenced) connection. Returns the
-/// number of logical calls served, or `None` to stop serving.
-fn serve_legacy_request(
-    req: Request,
-    server: &mut SecureServer,
-    writer: &mut BufWriter<&TcpStream>,
-    scratch: &mut Vec<u8>,
-) -> Result<Option<u64>, RuntimeError> {
-    match req {
-        Request::Call {
-            component,
-            key,
-            label,
-            args,
-        } => {
-            let (resp, served) = match server.call(component, key, label, &args) {
-                Ok(out) => (
-                    Response::Reply {
-                        value: out.value,
-                        server_cost: out.cost,
-                    },
-                    1,
-                ),
-                Err(e) => (Response::Error(e.to_string()), 0),
-            };
-            resp.encode_into(scratch);
-            write_frame(writer, scratch)?;
-            Ok(Some(served))
-        }
-        Request::Batch(calls) => {
-            let (resp, served) = match server.call_batch(&calls) {
-                Ok(outs) => {
-                    let n = outs.len() as u64;
-                    (
-                        Response::Batch(
-                            outs.into_iter()
-                                .map(|out| CallReply {
-                                    value: out.value,
-                                    server_cost: out.cost,
-                                })
-                                .collect(),
-                        ),
-                        n,
-                    )
-                }
-                Err(e) => (Response::Error(e.to_string()), 0),
-            };
-            resp.encode_into(scratch);
-            write_frame(writer, scratch)?;
-            Ok(Some(served))
-        }
-        Request::Release { component, key } => {
-            server.release(component, key);
-            Ok(Some(0))
-        }
-        Request::Shutdown => Ok(None),
-        Request::Hello { .. } | Request::SeqCall { .. } | Request::SeqBatch { .. } => {
-            let resp = Response::Error("session frames need a session server".into());
-            resp.encode_into(scratch);
-            write_frame(writer, scratch)?;
-            Err(RuntimeError::Channel(
-                "session frame on a sessionless connection".into(),
-            ))
-        }
-    }
-}
-
-/// Serves one client connection until it sends `Shutdown` or disconnects.
-/// Returns the number of logical calls served on this connection (each
-/// entry of a batch counts).
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Transport`] / [`RuntimeError::Channel`] on
-/// transport failures; fragment execution errors are reported to the
-/// client, not returned here.
-pub fn serve_connection(
-    stream: &mut TcpStream,
-    server: &mut SecureServer,
-) -> Result<u64, RuntimeError> {
-    stream
-        .set_nodelay(true)
-        .map_err(|e| RuntimeError::transport("set_nodelay", &e))?;
-    let mut reader = BufReader::new(&*stream);
-    let mut writer = BufWriter::new(&*stream);
-    let mut scratch = Vec::with_capacity(256);
-    let mut served = 0u64;
-    loop {
-        let payload = match read_frame(&mut reader)? {
-            Some(p) => p,
-            None => return Ok(served),
-        };
-        let req = Request::decode(&payload)?;
-        match serve_legacy_request(req, server, &mut writer, &mut scratch)? {
-            Some(n) => served += n,
-            None => return Ok(served),
-        }
-    }
-}
-
-/// Binds a listener on `addr` (use port 0 for an ephemeral port), accepts
-/// **one** connection and serves it to completion. Returns calls served.
-///
-/// Intended for examples and tests; production deployments use
-/// [`SessionServer`], which accepts in a loop with one server per session.
-///
-/// # Errors
-///
-/// Accept failures surface as [`RuntimeError::Transport`] (classified
-/// retryable/terminal); transport failures while serving carry the peer
-/// address.
-pub fn serve_once(listener: TcpListener, server: &mut SecureServer) -> Result<u64, RuntimeError> {
-    let (mut stream, peer) = listener
-        .accept()
-        .map_err(|e| RuntimeError::transport("accept", &e))?;
-    serve_connection(&mut stream, server).map_err(|e| e.with_peer(peer))
-}
-
 /// Server-side chaos: deterministically kill sockets mid-call to exercise
 /// client reconnect + replay. With probability `kill_per_mille`/1000 per
 /// served frame, the connection dies — half the time before executing the
@@ -812,13 +635,12 @@ pub struct ServerStats {
     pub replay_evictions: u64,
     /// Connections killed by [`ChaosConfig`].
     pub chaos_kills: u64,
-    /// Fragments lowered to bytecode by the fragment VM's compile-once
-    /// caches (all shards plus legacy connections; 0 with the VM off).
+    /// Fragments lowered to bytecode by the shards' compile-once caches.
     pub vm_compiles: u64,
     /// Fragment executions served from already-compiled bytecode.
     pub vm_cache_hits: u64,
-    /// Pure-fragment calls answered from the memo tables without running
-    /// the fragment (all shards plus legacy connections; 0 with memo off).
+    /// Pure-fragment calls answered from the shards' memo tables without
+    /// running the fragment (0 with memo off).
     pub memo_hits: u64,
     /// Fragment executions that ran in full and were considered for
     /// memoization (memoizable or not).
@@ -881,16 +703,11 @@ impl SessionServerHandle {
             replays: self.stats.replays.load(Ordering::Relaxed),
             replay_evictions: self.stats.replay_evictions.load(Ordering::Relaxed),
             chaos_kills: self.stats.chaos_kills.load(Ordering::Relaxed),
-            vm_compiles: self.stats.legacy_vm_compiles.load(Ordering::Relaxed)
-                + shards.iter().map(|s| s.vm_compiles).sum::<u64>(),
-            vm_cache_hits: self.stats.legacy_vm_cache_hits.load(Ordering::Relaxed)
-                + shards.iter().map(|s| s.vm_cache_hits).sum::<u64>(),
-            memo_hits: self.stats.legacy_memo_hits.load(Ordering::Relaxed)
-                + shards.iter().map(|s| s.memo_hits).sum::<u64>(),
-            memo_misses: self.stats.legacy_memo_misses.load(Ordering::Relaxed)
-                + shards.iter().map(|s| s.memo_misses).sum::<u64>(),
-            memo_evictions: self.stats.legacy_memo_evictions.load(Ordering::Relaxed)
-                + shards.iter().map(|s| s.memo_evictions).sum::<u64>(),
+            vm_compiles: shards.iter().map(|s| s.vm_compiles).sum(),
+            vm_cache_hits: shards.iter().map(|s| s.vm_cache_hits).sum(),
+            memo_hits: shards.iter().map(|s| s.memo_hits).sum(),
+            memo_misses: shards.iter().map(|s| s.memo_misses).sum(),
+            memo_evictions: shards.iter().map(|s| s.memo_evictions).sum(),
             panics_caught: self.stats.panics_caught.load(Ordering::Relaxed),
             shard_restarts: self.stats.shard_restarts.load(Ordering::Relaxed),
             journal_replays: self.stats.journal_replays.load(Ordering::Relaxed),
@@ -957,7 +774,6 @@ pub struct SessionServer {
     shards: usize,
     queue_capacity: usize,
     replay_capacity: usize,
-    fragment_vm: bool,
     fragment_memo: bool,
     journal_limit: usize,
     journal_dir: Option<PathBuf>,
@@ -987,7 +803,6 @@ impl SessionServer {
             shards: 1,
             queue_capacity: crate::shard::DEFAULT_QUEUE_CAPACITY,
             replay_capacity: crate::shard::DEFAULT_REPLAY_CAPACITY,
-            fragment_vm: crate::bytecode::vm_enabled_by_default(),
             fragment_memo: crate::memo::memo_enabled_by_default(),
             journal_limit: crate::journal::DEFAULT_JOURNAL_LIMIT,
             journal_dir: None,
@@ -1019,15 +834,6 @@ impl SessionServer {
     /// the chaos-recovery CI matrix.
     pub fn with_crash(mut self, crash: CrashConfig) -> SessionServer {
         self.crash = Some(crash);
-        self
-    }
-
-    /// Enables or disables the fragment bytecode VM (builder style;
-    /// defaults to on unless `HPS_FRAGMENT_VM=0`). Either mode serves
-    /// byte-identical responses; with the VM on, each shard keeps one
-    /// compile-once cache shared across its sessions.
-    pub fn with_fragment_vm(mut self, enabled: bool) -> SessionServer {
-        self.fragment_vm = enabled;
         self
     }
 
@@ -1123,7 +929,6 @@ impl SessionServer {
                 shards: self.shards,
                 queue_capacity: self.queue_capacity,
                 replay_capacity: self.replay_capacity,
-                fragment_vm: self.fragment_vm,
                 fragment_memo: self.fragment_memo,
                 journal_limit: self.journal_limit,
                 journal_dir: self.journal_dir.clone(),
@@ -1171,9 +976,6 @@ impl SessionServer {
             conn_index += 1;
             self.stats.connections.fetch_add(1, Ordering::Relaxed);
             let stats = Arc::clone(&self.stats);
-            let hidden = self.hidden.clone();
-            let fragment_vm = self.fragment_vm;
-            let fragment_memo = self.fragment_memo;
             let exec = pool.senders();
             let chaos = self
                 .chaos
@@ -1189,15 +991,7 @@ impl SessionServer {
             conns.push((
                 watch,
                 std::thread::spawn(move || {
-                    match serve_session_connection(
-                        stream,
-                        &exec,
-                        hidden,
-                        fragment_vm,
-                        fragment_memo,
-                        chaos,
-                        &stats,
-                    ) {
+                    match serve_session_connection(stream, &exec, chaos, &stats) {
                         Ok(served) => on_event(peer, &format!("served {served} calls")),
                         Err(e) => on_event(peer, &e.with_peer(peer).to_string()),
                     }
@@ -1313,16 +1107,24 @@ fn exec_hello(exec: &ShardSenders, session: u64) -> Result<u64, RuntimeError> {
     }
 }
 
+/// Answers a frame the session protocol does not accept with an error
+/// frame carrying `msg`; the caller then closes the connection with the
+/// returned error.
+fn reject(writer: &mut BufWriter<&TcpStream>, scratch: &mut Vec<u8>, msg: String) -> RuntimeError {
+    Response::Error(msg.clone()).encode_into(scratch);
+    match write_frame(writer, scratch) {
+        Ok(()) => RuntimeError::Channel(msg),
+        Err(e) => e,
+    }
+}
+
 /// Serves one connection of a [`SessionServer`]: handshake, then sequenced
-/// frames executed (or replayed) by the session's shard executor. Falls
-/// back to the legacy unsequenced protocol (fresh private server, no
-/// session) when the first frame is not `Hello`.
+/// frames executed (or replayed) by the session's shard executor. A first
+/// frame that is not a `Hello` — or any frame that does not decode — is
+/// answered with `0x11 error` and the connection is closed.
 fn serve_session_connection(
     stream: TcpStream,
     exec: &ShardSenders,
-    hidden: HiddenProgram,
-    fragment_vm: bool,
-    fragment_memo: bool,
     mut chaos: Option<(ChaosConfig, StdRng)>,
     stats: &StatsInner,
 ) -> Result<u64, RuntimeError> {
@@ -1334,23 +1136,11 @@ fn serve_session_connection(
     let mut scratch = Vec::with_capacity(256);
     let mut served = 0u64;
 
-    // First frame decides the mode.
     let Some(payload) = read_frame(&mut reader)? else {
         return Ok(0);
     };
-    let first = Request::decode(&payload)?;
-    let session = match first {
-        Request::Hello { version, session } => {
-            if version != WIRE_VERSION {
-                let resp = Response::Error(format!(
-                    "version mismatch: server speaks {WIRE_VERSION}, client sent {version}"
-                ));
-                resp.encode_into(&mut scratch);
-                write_frame(&mut writer, &scratch)?;
-                return Err(RuntimeError::Channel(format!(
-                    "client version {version} != {WIRE_VERSION}"
-                )));
-            }
+    let session = match Request::decode(&payload) {
+        Ok(Request::Hello { version, session }) if version == WIRE_VERSION => {
             let next_seq = exec_hello(exec, session)?;
             Response::HelloAck {
                 version: WIRE_VERSION,
@@ -1361,55 +1151,22 @@ fn serve_session_connection(
             write_frame(&mut writer, &scratch)?;
             session
         }
-        // Legacy client: serve it with a private, sessionless server owned
-        // by this thread (hidden state is thread-local, so it cannot go
-        // through the shared executor and does not need to).
-        other => {
-            let mut server = SecureServer::new(hidden)
-                .with_fragment_vm(fragment_vm)
-                .with_fragment_memo(fragment_memo);
-            // The private server dies with the connection; fold its VM and
-            // memo counters into the shared stats before each exit.
-            let fold_vm = |server: &SecureServer| {
-                stats
-                    .legacy_vm_compiles
-                    .fetch_add(server.vm_compiles(), Ordering::Relaxed);
-                stats
-                    .legacy_vm_cache_hits
-                    .fetch_add(server.vm_cache_hits(), Ordering::Relaxed);
-                stats
-                    .legacy_memo_hits
-                    .fetch_add(server.memo_hits(), Ordering::Relaxed);
-                stats
-                    .legacy_memo_misses
-                    .fetch_add(server.memo_misses(), Ordering::Relaxed);
-                stats
-                    .legacy_memo_evictions
-                    .fetch_add(server.memo_evictions(), Ordering::Relaxed);
-            };
-            match serve_legacy_request(other, &mut server, &mut writer, &mut scratch)? {
-                Some(n) => served = n,
-                None => {
-                    fold_vm(&server);
-                    return Ok(served);
-                }
-            }
-            loop {
-                let Some(payload) = read_frame(&mut reader)? else {
-                    stats.calls.fetch_add(served, Ordering::Relaxed);
-                    fold_vm(&server);
-                    return Ok(served);
-                };
-                let req = Request::decode(&payload)?;
-                match serve_legacy_request(req, &mut server, &mut writer, &mut scratch)? {
-                    Some(n) => served += n,
-                    None => {
-                        stats.calls.fetch_add(served, Ordering::Relaxed);
-                        fold_vm(&server);
-                        return Ok(served);
-                    }
-                }
-            }
+        Ok(Request::Hello { version, .. }) => {
+            return Err(reject(
+                &mut writer,
+                &mut scratch,
+                format!("version mismatch: server speaks {WIRE_VERSION}, client sent {version}"),
+            ));
+        }
+        Ok(_) => {
+            return Err(reject(
+                &mut writer,
+                &mut scratch,
+                "a connection must open with a session Hello".into(),
+            ));
+        }
+        Err(e) => {
+            return Err(reject(&mut writer, &mut scratch, e.to_string()));
         }
     };
 
@@ -1417,7 +1174,12 @@ fn serve_session_connection(
         let Some(payload) = read_frame(&mut reader)? else {
             return Ok(served);
         };
-        let req = Request::decode(&payload)?;
+        let req = match Request::decode(&payload) {
+            Ok(req) => req,
+            Err(e) => {
+                return Err(reject(&mut writer, &mut scratch, e.to_string()));
+            }
+        };
         let action = chaos_draw(&mut chaos);
         if matches!(action, ChaosAction::KillBeforeExec) {
             // Drop the connection before the request reaches the executor:
@@ -1459,12 +1221,11 @@ fn serve_session_connection(
                 );
             }
             Request::Shutdown => return Ok(served),
-            Request::Hello { .. } | Request::Call { .. } | Request::Batch(_) => {
-                let resp = Response::Error("unexpected frame on an open session".into());
-                resp.encode_into(&mut scratch);
-                write_frame(&mut writer, &scratch)?;
-                return Err(RuntimeError::Channel(
-                    "unsequenced frame on an open session".into(),
+            Request::Hello { .. } => {
+                return Err(reject(
+                    &mut writer,
+                    &mut scratch,
+                    "unexpected Hello on an open session".into(),
                 ));
             }
         }
@@ -1517,15 +1278,26 @@ mod tests {
             .with_jitter_seed(42)
     }
 
+    /// A one-shard session server for [`accumulator_program`], serving on
+    /// a background thread.
+    fn serve_accumulator() -> (
+        SessionServerHandle,
+        thread::JoinHandle<Result<(), RuntimeError>>,
+    ) {
+        let server = SessionServer::bind("127.0.0.1:0", accumulator_program()).expect("bind");
+        let handle = server.handle().expect("handle");
+        (handle, thread::spawn(move || server.serve(|_, _| {})))
+    }
+
+    fn stop(handle: &SessionServerHandle, serve: thread::JoinHandle<Result<(), RuntimeError>>) {
+        handle.stop();
+        serve.join().expect("serve thread").expect("serve ok");
+    }
+
     #[test]
     fn loopback_round_trips() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let handle = thread::spawn(move || {
-            let mut server = SecureServer::new(accumulator_program());
-            serve_once(listener, &mut server).expect("serve")
-        });
-        let mut chan = TcpChannel::connect(addr).expect("connect");
+        let (handle, serve) = serve_accumulator();
+        let mut chan = TcpChannel::connect(handle.addr()).expect("connect");
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
         let r1 = chan.call(c, 1, l, &[Value::Int(4)]).unwrap();
@@ -1542,19 +1314,14 @@ mod tests {
         assert_eq!(r4.value, Value::Int(2));
         assert_eq!(chan.interactions(), 4);
         chan.shutdown().unwrap();
-        let served = handle.join().expect("server thread");
-        assert_eq!(served, 4);
+        stop(&handle, serve);
+        assert_eq!(handle.stats().calls, 4);
     }
 
     #[test]
     fn loopback_batch_is_one_interaction() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let handle = thread::spawn(move || {
-            let mut server = SecureServer::new(accumulator_program());
-            serve_once(listener, &mut server).expect("serve")
-        });
-        let mut chan = TcpChannel::connect(addr).expect("connect");
+        let (handle, serve) = serve_accumulator();
+        let mut chan = TcpChannel::connect(handle.addr()).expect("connect");
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
         let calls: Vec<PendingCall> = [2, 3, 5]
@@ -1573,37 +1340,32 @@ mod tests {
         // ... but the transport made a single round trip.
         assert_eq!(chan.interactions(), 1);
         chan.shutdown().unwrap();
-        let served = handle.join().expect("server thread");
-        assert_eq!(served, 3, "every logical call is served and counted");
+        stop(&handle, serve);
+        assert_eq!(
+            handle.stats().calls,
+            3,
+            "every logical call is served and counted"
+        );
     }
 
     #[test]
     fn remote_errors_are_reported() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let handle = thread::spawn(move || {
-            let mut server = SecureServer::new(accumulator_program());
-            serve_once(listener, &mut server).expect("serve")
-        });
-        let mut chan = TcpChannel::connect(addr).expect("connect");
+        let (handle, serve) = serve_accumulator();
+        let mut chan = TcpChannel::connect(handle.addr()).expect("connect");
         let err = chan
             .call(ComponentId::new(7), 0, FragLabel::new(0), &[])
             .unwrap_err();
         assert!(matches!(err, RuntimeError::Channel(msg) if msg.contains("remote:")));
         chan.shutdown().unwrap();
-        handle.join().expect("server thread");
+        stop(&handle, serve);
     }
 
     #[test]
     fn batch_chunking_at_the_cap_boundary() {
         // The satellite case: exactly cap and cap+1 buffered calls. A small
         // injected cap keeps it fast; the default cap is the wire maximum.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let handle = thread::spawn(move || {
-            let mut server = SecureServer::new(accumulator_program());
-            serve_once(listener, &mut server).expect("serve")
-        });
+        let (handle, serve) = serve_accumulator();
+        let addr = handle.addr();
         let mut chan = TcpChannel::connect(addr)
             .expect("connect")
             .with_batch_cap(3);
@@ -1634,7 +1396,7 @@ mod tests {
         );
         assert_eq!(chan.interactions(), 3, "cap+1 calls cost two interactions");
         chan.shutdown().unwrap();
-        handle.join().expect("server thread");
+        stop(&handle, serve);
     }
 
     #[test]
@@ -1855,7 +1617,7 @@ mod tests {
         let serve = thread::spawn(move || server.serve(|_, _| {}));
         let mut chan = TcpChannel::connect_reliable(addr, quick_policy()).expect("connect");
         // Corrupt the client's sequence counter to skip ahead.
-        chan.reliable.as_mut().expect("reliable").next_seq = 40;
+        chan.next_seq = 40;
         let err = chan
             .call(ComponentId::new(0), 1, FragLabel::new(0), &[Value::Int(1)])
             .expect_err("gap must be rejected");
@@ -1895,34 +1657,43 @@ mod tests {
     }
 
     #[test]
-    fn legacy_clients_still_work_against_session_server() {
-        let server = SessionServer::bind("127.0.0.1:0", accumulator_program()).expect("bind");
-        let handle = server.handle().expect("handle");
-        let addr = handle.addr();
-        let serve = thread::spawn(move || server.serve(|_, _| {}));
-        let mut chan = TcpChannel::connect(addr).expect("connect");
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
-        assert_eq!(
-            chan.call(c, 1, l, &[Value::Int(3)]).unwrap().value,
-            Value::Int(3)
-        );
-        assert_eq!(
-            chan.call(c, 1, l, &[Value::Int(4)]).unwrap().value,
-            Value::Int(7)
-        );
-        chan.shutdown().unwrap();
-        // Give the connection thread a moment to record its calls.
-        for _ in 0..100 {
-            if handle.stats().calls == 2 {
-                break;
-            }
-            thread::sleep(Duration::from_millis(5));
+    fn unsequenced_frames_are_rejected() {
+        // Raw frames with the tags of the retired unsequenced protocol:
+        // 0x01 call and 0x04 batch, each carrying the call body
+        // component 0, key 1, label 0, args [Int(3)].
+        let mut body = Vec::new();
+        body.extend_from_slice(&0u32.to_le_bytes());
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&0u32.to_le_bytes());
+        body.extend_from_slice(&1u16.to_le_bytes());
+        body.push(0x00);
+        body.extend_from_slice(&3i64.to_le_bytes());
+        let call = [&[0x01][..], &body].concat();
+        let batch = [&[0x04, 1, 0][..], &body].concat();
+        let (handle, serve) = serve_accumulator();
+        for frame in [call, batch] {
+            let stream = TcpStream::connect(handle.addr()).expect("connect");
+            let (mut reader, mut writer) = split_stream(stream).expect("split");
+            write_frame(&mut writer, &frame).expect("write");
+            let payload = read_frame(&mut reader).expect("read").expect("frame");
+            let resp = Response::decode(&payload).expect("decode");
+            assert!(matches!(resp, Response::Error(_)), "got {resp:?}");
+            assert_eq!(
+                read_frame(&mut reader).expect("clean close"),
+                None,
+                "the server closes the connection"
+            );
         }
-        assert_eq!(handle.stats().calls, 2);
-        assert_eq!(handle.stats().sessions, 0, "legacy mode opens no session");
-        handle.stop();
-        serve.join().expect("serve thread").expect("serve ok");
+        // The server is unharmed and serves the next session client.
+        let mut chan = TcpChannel::connect(handle.addr()).expect("connect");
+        let r = chan
+            .call(ComponentId::new(0), 1, FragLabel::new(0), &[Value::Int(3)])
+            .expect("call");
+        assert_eq!(r.value, Value::Int(3));
+        chan.shutdown().unwrap();
+        stop(&handle, serve);
+        assert_eq!(handle.stats().calls, 1, "rejected frames execute nothing");
+        assert_eq!(handle.stats().sessions, 1);
     }
 
     #[test]

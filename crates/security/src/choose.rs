@@ -93,7 +93,10 @@ impl SeedCandidate {
 /// their declaration order — so when several seeds reach the same maximum
 /// complexity the first-declared one wins, and callers can inspect (or log)
 /// the runners-up. Under [`SeedRule::CostRestricted`], candidates whose
-/// split puts hidden calls in open loops are excluded entirely.
+/// split puts hidden calls in open loops are excluded entirely. The first
+/// entry is the seed the paper pipeline picks
+/// ([`crate::optimize::default_targets`]); an empty ranking means `func`
+/// has no usable seed.
 pub fn ranked_seeds_with(program: &Program, func: FuncId, rule: SeedRule) -> Vec<SeedCandidate> {
     let f = program.func(func);
     let mut candidates: Vec<SeedCandidate> = Vec::new();
@@ -135,55 +138,14 @@ pub fn ranked_seeds_with(program: &Program, func: FuncId, rule: SeedRule) -> Vec
     candidates
 }
 
-/// Picks the best seed variable for splitting `func` under `rule`.
-///
-/// This is a thin convenience over [`ranked_seeds_with`]; whole-program
-/// planning (seed choice for every selected function, budget search and
-/// hardening) lives behind the `hps-audit` `Planner` facade, which calls
-/// into [`mod@crate::optimize`].
-///
-/// Scoring follows the paper: the seed whose split yields the ILP with the
-/// highest maximum arithmetic complexity (ties broken toward more ILPs,
-/// then declaration order — see [`ranked_seeds_with`] for the full
-/// ranking). Under [`SeedRule::CostRestricted`], candidates with in-loop
-/// hidden calls are discarded first. Returns `None` when no candidate
-/// produces a usable split.
-pub fn choose_seed_with(program: &Program, func: FuncId, rule: SeedRule) -> Option<LocalId> {
-    ranked_seeds_with(program, func, rule)
-        .first()
-        .map(|c| c.seed)
-}
-
-/// [`choose_seed_with`] under the default cost-restricted rule.
-pub fn choose_seed(program: &Program, func: FuncId) -> Option<LocalId> {
-    choose_seed_with(program, func, SeedRule::CostRestricted)
-}
-
-/// Chooses a seed for each of the given functions under `rule`, skipping
-/// functions with no usable seed. Returns `(func, seed)` pairs.
-///
-/// Thin wrapper kept for callers that want raw pairs; prefer
-/// [`crate::optimize::default_targets`] (which returns a ready
-/// [`SplitPlan`]) or the `hps-audit` `Planner` for the full pipeline.
-pub fn choose_seeds_all_with(
-    program: &Program,
-    funcs: &[FuncId],
-    rule: SeedRule,
-) -> Vec<(FuncId, LocalId)> {
-    funcs
-        .iter()
-        .filter_map(|&f| choose_seed_with(program, f, rule).map(|s| (f, s)))
-        .collect()
-}
-
-/// [`choose_seeds_all_with`] under the default cost-restricted rule.
-pub fn choose_seeds_all(program: &Program, funcs: &[FuncId]) -> Vec<(FuncId, LocalId)> {
-    choose_seeds_all_with(program, funcs, SeedRule::CostRestricted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The top-ranked seed of `func` under `rule`.
+    fn best(p: &Program, func: FuncId, rule: SeedRule) -> Option<LocalId> {
+        ranked_seeds_with(p, func, rule).first().map(|c| c.seed)
+    }
 
     #[test]
     fn prefers_variable_with_higher_complexity() {
@@ -214,11 +176,11 @@ mod tests {
         // (no in-loop calls), and the leak of `highvar` stays polynomial.
         // Seeding `highvar` directly leaves `i` open, blocks promotion and
         // creates per-iteration traffic — rejected.
-        let chosen = choose_seed(&p, func).expect("some seed works");
+        let chosen = best(&p, func, SeedRule::CostRestricted).expect("some seed works");
         assert_eq!(f.local(chosen).name, "i");
         // The unrestricted rule tolerates the traffic and keeps the seed
         // with the highest complexity found first.
-        let chosen = choose_seed_with(&p, func, SeedRule::MaxComplexity).unwrap();
+        let chosen = best(&p, func, SeedRule::MaxComplexity).unwrap();
         assert!(["highvar", "i"].contains(&f.local(chosen).name.as_str()));
         // Either way the chosen seed must not be the linear one.
         assert_ne!(f.local(chosen).name, "lowvar");
@@ -243,8 +205,8 @@ mod tests {
             fn main() { var b: int[] = new int[64]; print(g(10, b)); }";
         let p = hps_lang::parse(src).unwrap();
         let func = p.func_by_name("g").unwrap();
-        assert_eq!(choose_seed(&p, func), None);
-        assert!(choose_seed_with(&p, func, SeedRule::MaxComplexity).is_some());
+        assert_eq!(best(&p, func, SeedRule::CostRestricted), None);
+        assert!(best(&p, func, SeedRule::MaxComplexity).is_some());
     }
 
     #[test]
@@ -269,7 +231,7 @@ mod tests {
     fn equal_scores_tie_break_by_declaration_order() {
         // `first` and `second` leak structurally identical linear values, so
         // their candidate scores are equal; the ranking must keep the
-        // declaration order and `choose_seed` must pick `first`.
+        // declaration order and the top-ranked seed must be `first`.
         let src = "
             fn g(x: int, b: int[]) -> int {
                 var first: int = x + 1;
@@ -291,7 +253,7 @@ mod tests {
         );
         assert_eq!(f.local(ranked[0].seed).name, "first");
         assert_eq!(f.local(ranked[1].seed).name, "second");
-        let chosen = choose_seed(&p, func).unwrap();
+        let chosen = best(&p, func, SeedRule::CostRestricted).unwrap();
         assert_eq!(f.local(chosen).name, "first");
         // Ranking is reproducible call to call.
         assert_eq!(
@@ -305,20 +267,26 @@ mod tests {
         let p = hps_lang::parse("fn g(x: int) -> int { return x; } fn main() { print(g(1)); }")
             .unwrap();
         let func = p.func_by_name("g").unwrap();
-        assert_eq!(choose_seed(&p, func), None);
+        assert_eq!(best(&p, func, SeedRule::CostRestricted), None);
     }
 
     #[test]
-    fn choose_all_skips_unusable() {
+    fn default_targets_skip_unusable() {
         let p = hps_lang::parse(
             "fn a(x: int) -> int { var t: int = x * x; return t; }
              fn b(x: int) -> int { return x; }
              fn main() { print(a(1) + b(2)); }",
         )
         .unwrap();
-        let funcs: Vec<FuncId> = vec![p.func_by_name("a").unwrap(), p.func_by_name("b").unwrap()];
-        let seeds = choose_seeds_all(&p, &funcs);
-        assert_eq!(seeds.len(), 1);
-        assert_eq!(seeds[0].0, p.func_by_name("a").unwrap());
+        let plan = crate::optimize::default_targets(&p, SeedRule::CostRestricted);
+        let funcs: Vec<FuncId> = plan
+            .targets
+            .iter()
+            .map(|t| match t {
+                SplitTarget::Function { func, .. } => *func,
+                other => panic!("unexpected target {other:?}"),
+            })
+            .collect();
+        assert_eq!(funcs, [p.func_by_name("a").unwrap()]);
     }
 }

@@ -41,10 +41,7 @@ pub mod lattice;
 pub mod optimize;
 
 pub use cc::{CcTriple, PathCount};
-pub use choose::{
-    choose_seed, choose_seed_with, choose_seeds_all, choose_seeds_all_with, in_loop_hidden_calls,
-    ranked_seeds_with, SeedCandidate, SeedRule,
-};
+pub use choose::{in_loop_hidden_calls, ranked_seeds_with, SeedCandidate, SeedRule};
 pub use estimate::Estimator;
 pub use ilp::{analyze_report, analyze_split, IlpComplexity, SecurityReport};
 pub use lattice::{Ac, AcType, Inputs};

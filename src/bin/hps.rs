@@ -1,7 +1,7 @@
 //! `hps` — command-line front end for slice-based software splitting.
 //!
 //! ```text
-//! hps run <file.ml> [--split] [--batch] [--no-vm] [--no-memo] [--metrics-json] [selection] [ints...]
+//! hps run <file.ml> [--split] [--batch] [--no-memo] [--metrics-json] [selection] [ints...]
 //!                                             run a MiniLang program; --split runs
 //!                                             the open/hidden pair, --metrics-json
 //!                                             emits the hps-telemetry/v1 snapshot
@@ -15,7 +15,7 @@
 //! hps audit <file.ml> [selection] [--json|--sarif|--effects]
 //!                                             split-soundness audit (non-zero exit on deny);
 //!                                             --effects prints the fragment purity report
-//! hps serve <file.ml> <addr> [selection] [--shards N] [--no-vm] [--no-memo] [--chaos SEED]
+//! hps serve <file.ml> <addr> [selection] [--shards N] [--no-memo] [--chaos SEED]
 //!                            [--metrics ADDR] [--journal-dir DIR]
 //!                                             host the hidden component on TCP;
 //!                                             --shards spreads sessions over N
@@ -23,7 +23,7 @@
 //!                                             Prometheus text format, --journal-dir
 //!                                             persists session journals so hidden
 //!                                             state survives a server restart
-//! hps client <file.ml> <addr> [selection] [--batch] [--retry] [--timeout MS] [ints...]
+//! hps client <file.ml> <addr> [selection] [--batch] [--timeout MS] [ints...]
 //!                                             run the open component against a server
 //! hps tables [--quick]                        shortcut to the experiment harness
 //! ```
@@ -72,14 +72,14 @@ const HELP: &str = "\
 hps — slicing-based software splitting (CGO 2003 reproduction)
 
 USAGE:
-  hps run <file.ml> [--split] [--batch] [--no-vm] [--no-memo] [--metrics-json] [selection flags] [ints...]
+  hps run <file.ml> [--split] [--batch] [--no-memo] [--metrics-json] [selection flags] [ints...]
   hps split <file.ml> [--func NAME --var NAME | --auto | --global NAME | --class NAME]
             [--budget PCT[%]] [--harden] [--json] [--args ints...]
   hps analyze <file.ml> [selection flags]
   hps audit <file.ml> [selection flags] [--json | --sarif | --effects]
-  hps serve <file.ml> <addr> [selection flags] [--shards N] [--no-vm] [--no-memo] [--chaos SEED]
+  hps serve <file.ml> <addr> [selection flags] [--shards N] [--no-memo] [--chaos SEED]
                              [--metrics ADDR] [--journal-dir DIR]
-  hps client <file.ml> <addr> [selection flags] [--batch] [--retry] [--timeout MS] [--args ints...]
+  hps client <file.ml> <addr> [selection flags] [--batch] [--timeout MS] [--args ints...]
 
 Selection flags default to --auto: call-graph-cut function selection with
 complexity-guided, cost-restricted seed choice (the paper's pipeline).
@@ -87,9 +87,9 @@ complexity-guided, cost-restricted seed choice (the paper's pipeline).
 component passes a declared ILP, lints for weak leaks and exits non-zero
 on any deny-level finding; --json / --sarif select machine-readable output.
 --batch coalesces deferrable hidden calls into batched round trips.
---retry opens a fault-tolerant session (timeouts, reconnect with backoff,
-exactly-once replay); --timeout MS (implies --retry) puts a hard per-call
-deadline on every hidden round trip; --chaos SEED makes the server
+`client` always opens a fault-tolerant session (timeouts, reconnect with
+backoff, exactly-once replay); --timeout MS puts a hard per-call deadline
+on every hidden round trip; --chaos SEED makes the server
 deterministically kill connections mid-call to exercise it.
 `serve --journal-dir DIR` journals every committed hidden call to
 checksummed per-session files so sessions rebuild their hidden state
@@ -106,8 +106,7 @@ stdout, with program output diverted to stderr. `serve --shards N` spreads
 sessions over N executor threads (session_id % N) for multi-core
 throughput; `serve --metrics ADDR` exposes the live server counters and
 the shard queue-depth histogram in Prometheus text format over HTTP.
-Hidden fragments execute on a compile-once bytecode VM by default;
---no-vm (or HPS_FRAGMENT_VM=0) falls back to the tree-walk interpreter.
+Hidden fragments execute on a compile-once bytecode VM.
 Provably-pure fragments are memoized by argument bytes with identical
 metering; --no-memo (or HPS_FRAGMENT_MEMO=0) disables the memo table.
 `audit --effects` prints the per-fragment effect/purity report
@@ -196,13 +195,12 @@ fn do_split(program: &hps::ir::Program, flags: &[String]) -> Result<SplitResult,
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     const USAGE: &str =
-        "usage: hps run <file.ml> [--split] [--batch] [--no-vm] [--no-memo] [--metrics-json] [selection flags] [ints...]";
+        "usage: hps run <file.ml> [--split] [--batch] [--no-memo] [--metrics-json] [selection flags] [ints...]";
     let path = args.first().ok_or(USAGE)?;
     let rest = &args[1..];
     let mut split_mode = false;
     let mut batch = false;
     let mut metrics_json = false;
-    let mut no_vm = false;
     let mut no_memo = false;
     let mut selection = Vec::new();
     let mut ints = Vec::new();
@@ -220,10 +218,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "--metrics-json" => {
                 metrics_json = true;
                 split_mode = true;
-                i += 1;
-            }
-            "--no-vm" => {
-                no_vm = true;
                 i += 1;
             }
             "--no-memo" => {
@@ -255,8 +249,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let program = load(path)?;
     let entry_args = int_args(&ints)?;
     if !split_mode {
-        if !selection.is_empty() || batch || no_vm || no_memo {
-            return Err("selection flags, --batch, --no-vm and --no-memo require --split".into());
+        if !selection.is_empty() || batch || no_memo {
+            return Err("selection flags, --batch and --no-memo require --split".into());
         }
         let out = hps::runtime::run_program(&program, &entry_args).map_err(|e| e.to_string())?;
         for line in &out.output {
@@ -273,9 +267,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut executor = Executor::new(&split.open, &split.hidden)
         .batching(batch)
         .recorder(MetricsRecorder::new());
-    if no_vm {
-        executor = executor.fragment_vm(false);
-    }
     if no_memo {
         executor = executor.fragment_memo(false);
     }
@@ -495,8 +486,8 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    const USAGE: &str = "usage: hps serve <file.ml> <addr> [flags] [--shards N] [--no-vm] \
-                         [--no-memo] [--chaos SEED] [--metrics ADDR] [--journal-dir DIR]";
+    const USAGE: &str = "usage: hps serve <file.ml> <addr> [flags] [--shards N] [--no-memo] \
+                         [--chaos SEED] [--metrics ADDR] [--journal-dir DIR]";
     let path = args.first().ok_or(USAGE)?;
     let addr = args.get(1).ok_or(USAGE)?;
     let rest = &args[2..];
@@ -504,7 +495,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut metrics_addr = None;
     let mut journal_dir = None;
     let mut shards = 1usize;
-    let mut no_vm = false;
     let mut no_memo = false;
     let mut flags = Vec::new();
     let mut i = 0;
@@ -530,9 +520,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .clone(),
             );
             i += 2;
-        } else if rest[i] == "--no-vm" {
-            no_vm = true;
-            i += 1;
         } else if rest[i] == "--no-memo" {
             no_memo = true;
             i += 1;
@@ -556,9 +543,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut server = SessionServer::bind(addr.as_str(), split.hidden.clone())
         .map_err(|e| e.to_string())?
         .with_shards(shards);
-    if no_vm {
-        server = server.with_fragment_vm(false);
-    }
     if no_memo {
         server = server.with_fragment_memo(false);
     }
@@ -619,7 +603,7 @@ fn spawn_metrics_endpoint(addr: &str, handle: SessionServerHandle) -> Result<Soc
 
 fn cmd_client(args: &[String]) -> Result<(), String> {
     const USAGE: &str =
-        "usage: hps client <file.ml> <addr> [flags] [--batch] [--retry] [--timeout MS] [--args ints]";
+        "usage: hps client <file.ml> <addr> [flags] [--batch] [--timeout MS] [--args ints]";
     let path = args.first().ok_or(USAGE)?;
     let addr = args.get(1).ok_or(USAGE)?;
     let rest = &args[2..];
@@ -628,7 +612,6 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
         None => (rest, &[]),
     };
     let batch = flags.iter().any(|a| a == "--batch");
-    let mut retry = flags.iter().any(|a| a == "--retry");
     let mut timeout_ms = None;
     let mut selection = Vec::new();
     let mut i = 0;
@@ -642,11 +625,9 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
                 .filter(|&ms| ms > 0)
                 .ok_or("--timeout must be a positive integer (milliseconds)")?;
             timeout_ms = Some(ms);
-            // The per-call deadline lives in the reliable transport.
-            retry = true;
             i += 2;
         } else {
-            if flags[i] != "--batch" && flags[i] != "--retry" {
+            if flags[i] != "--batch" {
                 selection.push(flags[i].clone());
             }
             i += 1;
@@ -655,13 +636,10 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
     let program = load(path)?;
     let split = do_split(&program, &selection)?;
     let entry_args = int_args(entry)?;
-    let mut channel = if retry {
-        let policy =
-            RetryPolicy::new().with_call_deadline(timeout_ms.map(std::time::Duration::from_millis));
-        TcpChannel::connect_reliable(addr.as_str(), policy).map_err(|e| e.to_string())?
-    } else {
-        TcpChannel::connect(addr.as_str()).map_err(|e| e.to_string())?
-    };
+    let policy =
+        RetryPolicy::new().with_call_deadline(timeout_ms.map(std::time::Duration::from_millis));
+    let mut channel =
+        TcpChannel::connect_reliable(addr.as_str(), policy).map_err(|e| e.to_string())?;
     let meta = SplitMeta::derive(&split.open, &split.hidden);
     let outcome = {
         let mut interp = Interp::new(&split.open, ExecConfig::new().with_batching(batch))
@@ -675,11 +653,9 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
     let stats = hps::runtime::Channel::transport_stats(&channel);
     channel.shutdown().map_err(|e| e.to_string())?;
     eprintln!("[hps] {interactions} open<->hidden interactions");
-    if retry {
-        eprintln!(
-            "[hps] transport: {} retries, {} reconnects, {} faults",
-            stats.retries, stats.reconnects, stats.faults
-        );
-    }
+    eprintln!(
+        "[hps] transport: {} retries, {} reconnects, {} faults",
+        stats.retries, stats.reconnects, stats.faults
+    );
     Ok(())
 }

@@ -8,10 +8,12 @@ use std::time::{Duration, Instant};
 
 const HPS: &str = env!("CARGO_BIN_EXE_hps");
 
-fn demo_file() -> std::path::PathBuf {
+/// Writes the demo program to a file private to `test` and this process,
+/// so tests running in parallel never rewrite each other's input.
+fn demo_file(test: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("hps-cli-tests");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("demo.ml");
+    let path = dir.join(format!("{test}-{}.ml", std::process::id()));
     let mut f = std::fs::File::create(&path).expect("create");
     f.write_all(
         b"fn fee(seats: int, months: int) -> int {
@@ -29,7 +31,7 @@ fn demo_file() -> std::path::PathBuf {
 
 #[test]
 fn run_executes_programs() {
-    let path = demo_file();
+    let path = demo_file("run_executes_programs");
     let out = Command::new(HPS)
         .args(["run", path.to_str().unwrap(), "10", "12"])
         .output()
@@ -44,7 +46,7 @@ fn run_executes_programs() {
 
 #[test]
 fn split_prints_both_components() {
-    let path = demo_file();
+    let path = demo_file("split_prints_both_components");
     let out = Command::new(HPS)
         .args([
             "split",
@@ -72,7 +74,7 @@ fn split_prints_both_components() {
 
 #[test]
 fn split_plans_with_budget_and_hardening() {
-    let path = demo_file();
+    let path = demo_file("split_plans_with_budget_and_hardening");
     // Human report: hps split FILE --harden --args ... (no budget, so the
     // level-0 plan with its targets survives even on this tiny program).
     let out = Command::new(HPS)
@@ -124,7 +126,7 @@ fn split_plans_with_budget_and_hardening() {
 
 #[test]
 fn split_args_alone_select_planner_mode() {
-    let path = demo_file();
+    let path = demo_file("split_args_alone_select_planner_mode");
     // --args only feeds the planner's measurer; the legacy dump would
     // silently ignore it, so it must select planner mode by itself.
     let out = Command::new(HPS)
@@ -144,7 +146,7 @@ fn split_args_alone_select_planner_mode() {
 
 #[test]
 fn analyze_reports_ilp_classes() {
-    let path = demo_file();
+    let path = demo_file("analyze_reports_ilp_classes");
     let out = Command::new(HPS)
         .args([
             "analyze",
@@ -167,7 +169,7 @@ fn analyze_reports_ilp_classes() {
 
 #[test]
 fn audit_passes_sound_split_and_emits_machine_formats() {
-    let path = demo_file();
+    let path = demo_file("audit_passes_sound_split_and_emits_machine_formats");
     let base = [
         "audit",
         path.to_str().unwrap(),
@@ -231,7 +233,7 @@ fn unknown_inputs_fail_cleanly() {
 
 #[test]
 fn serve_and_client_split_across_processes() {
-    let path = demo_file();
+    let path = demo_file("serve_and_client_split_across_processes");
     let addr = "127.0.0.1:47261";
     let mut server = Command::new(HPS)
         .args([
