@@ -101,6 +101,16 @@ impl BitSet {
         self.words.fill(0);
     }
 
+    /// The backing words, least significant label first.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Unions raw words (as laid out by [`BitSet::words`]) into `self`.
+    pub(crate) fn union_words(&mut self, words: &[u64]) {
+        or_words(&mut self.words, words);
+    }
+
     /// Iterator over the set bits, ascending.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -108,6 +118,13 @@ impl BitSet {
             word_idx: 0,
             current: self.words.first().copied().unwrap_or(0),
         }
+    }
+}
+
+/// `dst |= src`, word by word (the slices have equal length).
+pub(crate) fn or_words(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
     }
 }
 

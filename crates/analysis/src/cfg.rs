@@ -188,6 +188,17 @@ impl Cfg {
         }
     }
 
+    /// The statement at every node (`None` for entry and exit), indexed by
+    /// node: one walk of `func`, instead of a [`Function::stmt`] search per
+    /// node. `func` must be the function this CFG was built from.
+    pub fn stmts<'f>(&self, func: &'f Function) -> Vec<Option<&'f Stmt>> {
+        let mut table = vec![None; self.nodes.len()];
+        hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
+            table[self.node_of(stmt.id)] = Some(stmt);
+        });
+        table
+    }
+
     /// Iterator over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         0..self.nodes.len()

@@ -29,13 +29,36 @@
 //! (killing) updates, aggregate stores are weak. Strong updates are still
 //! monotone in the input state, because the written taint is a monotone
 //! function (a union) of the incoming state.
+//!
+//! # Layout
+//!
+//! The IN and OUT states live in two flat `Vec<u64>`s indexed by
+//! `(node × variable × label word)`, and each node's transfer is planned
+//! once per analysis: the defined variable indices, the IN-state slots it
+//! reads (its own uses and, with implicit flows, the condition reads of its
+//! transitive controllers), and the model-dependent part that does not
+//! depend on the state (`gen` labels, call results and ambient taint of
+//! everything it reads), folded into one constant row per solve. A pass is
+//! then word-wise `|=` and compares over preallocated rows; it allocates
+//! nothing. The iteration order and the transfer are exactly those of the
+//! textbook formulation (reverse postorder, IN = join of predecessor OUTs,
+//! OUT = transfer of IN), so the solution and the pass count are too.
+//!
+//! # Warm re-solving
+//!
+//! [`TaintAnalysis::update`] re-solves an analysis whose model has *grown*
+//! (every `ambient`, `call_result` and `gen` answer a superset of before)
+//! starting from the previous fixpoint instead of from bottom. The old
+//! solution is below the new least fixpoint and below one application of
+//! the new transfer (the transfer is monotone in both the state and the
+//! model), so chaotic iteration from it climbs to the same least fixpoint a
+//! cold solve reaches.
 
-use crate::bitset::BitSet;
+use crate::bitset::{or_words, BitSet};
 use crate::cfg::{Cfg, CfgNode, NodeId, ENTRY};
 use crate::control_dep::ControlDeps;
-use crate::vars::{stmt_effect, StmtEffect, VarId};
+use crate::vars::{stmt_effect, VarId};
 use hps_ir::{Expr, FuncId, Function, Stmt, StmtId, StmtKind};
-use std::collections::HashMap;
 
 /// Client hooks parameterizing a [`TaintAnalysis`].
 ///
@@ -68,28 +91,48 @@ pub trait TaintModel {
     }
 }
 
-/// Per-node abstract state: taint of each tracked variable.
-type VarState = Vec<BitSet>;
+/// The state-independent transfer plan of one CFG node, built once per
+/// analysis. Empty for nodes that define nothing.
+#[derive(Clone, Debug, Default)]
+struct NodePlan {
+    /// Defined variable indices; `true` marks a strong (killing) update.
+    defs: Vec<(usize, bool)>,
+    /// Word offsets into the IN array of every `(node, variable)` row whose
+    /// taint flows into the definitions.
+    reads: Vec<usize>,
+    /// Variables whose ambient taint flows into the definitions.
+    ambient: Vec<VarId>,
+    /// Callees whose result taint flows into the definitions.
+    calls: Vec<FuncId>,
+}
 
 /// Result of a flow-sensitive taint analysis over one function.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct TaintAnalysis {
     /// The tracked variable universe, in a deterministic (sorted) order.
     pub vars: Vec<VarId>,
     /// Number of labels in the universe.
     pub n_labels: usize,
-    /// Worklist passes needed to reach the fixpoint (for diagnostics and the
-    /// termination tests).
+    /// Worklist passes the most recent solve needed to reach the fixpoint
+    /// (for diagnostics and the termination tests).
     pub iterations: usize,
-    index: HashMap<VarId, usize>,
-    /// IN state per CFG node (join of predecessor OUT states).
-    in_states: Vec<VarState>,
-    /// OUT state per CFG node.
-    out_states: Vec<VarState>,
-    /// Cached per-node statement effects.
-    effects: Vec<StmtEffect>,
     /// Union of the taints of every `return` operand.
     pub ret_taint: BitSet,
+    /// Words per label set.
+    words: usize,
+    /// Words per node row (`vars.len() × words`).
+    stride: usize,
+    /// IN state per CFG node (join of predecessor OUT states), flat.
+    in_states: Vec<u64>,
+    /// OUT state per CFG node, flat.
+    out_states: Vec<u64>,
+    /// Per-node transfer plans.
+    plans: Vec<NodePlan>,
+    /// Per-node state-independent taint of the definitions (one label set
+    /// per node), refreshed from the model at every solve.
+    consts: Vec<u64>,
+    /// Reverse postorder of the CFG.
+    order: Vec<NodeId>,
 }
 
 impl TaintAnalysis {
@@ -109,181 +152,240 @@ impl TaintAnalysis {
         model: &dyn TaintModel,
     ) -> TaintAnalysis {
         let n_labels = model.labels();
-        // Collect the variable universe and per-node effects.
-        let mut effects: Vec<StmtEffect> = Vec::with_capacity(cfg.len());
+        // Per-node effects, then the variable universe they span.
+        let stmts = cfg.stmts(func);
         let mut call_effect = |callee: FuncId| model.call_effect(callee);
-        for node in cfg.node_ids() {
-            let eff = match cfg.stmt_of(node) {
-                Some(id) => {
-                    let stmt = func.stmt(id).expect("stmt in cfg exists");
-                    stmt_effect(func, stmt, &mut call_effect)
-                }
-                None => StmtEffect::default(),
-            };
-            effects.push(eff);
-        }
-        let mut vars: Vec<VarId> = Vec::new();
-        for lid in 0..func.locals.len() {
-            vars.push(VarId::Local(hps_ir::LocalId::new(lid)));
-        }
-        for eff in &effects {
-            for (v, _) in &eff.defs {
-                vars.push(*v);
-            }
-            for v in &eff.uses {
-                vars.push(*v);
-            }
+        let effects: Vec<_> = stmts
+            .iter()
+            .map(|stmt| stmt.map(|stmt| stmt_effect(func, stmt, &mut call_effect)))
+            .collect();
+        let mut vars: Vec<VarId> = (0..func.locals.len())
+            .map(|l| VarId::Local(hps_ir::LocalId::new(l)))
+            .collect();
+        for eff in effects.iter().flatten() {
+            vars.extend(eff.defs.iter().map(|(v, _)| *v));
+            vars.extend(eff.uses.iter().copied());
         }
         vars.sort();
         vars.dedup();
-        let index: HashMap<VarId, usize> = vars.iter().enumerate().map(|(i, v)| (*v, i)).collect();
+        let words = n_labels.div_ceil(64);
+        let stride = vars.len() * words;
+        let index = |v: &VarId| vars.binary_search(v).ok();
 
-        let bottom: VarState = vec![BitSet::new(n_labels); vars.len()];
-        let mut analysis = TaintAnalysis {
-            vars: vars.clone(),
-            n_labels,
-            iterations: 0,
-            index,
-            in_states: vec![bottom.clone(); cfg.len()],
-            out_states: vec![bottom; cfg.len()],
-            effects,
-            ret_taint: BitSet::new(n_labels),
-        };
-        // Chaotic iteration in reverse postorder until stable. The bound is
-        // generous: each pass either changes at least one bit or stops, and
-        // there are at most nodes × vars × labels bits.
-        let order = cfg.reverse_postorder();
-        let bound = 2 + cfg.len() * (analysis.vars.len() + 1) * (n_labels + 1);
-        loop {
-            analysis.iterations += 1;
-            assert!(
-                analysis.iterations <= bound,
-                "taint fixpoint did not stabilize within {bound} passes"
-            );
-            if !analysis.pass(func, cfg, control, model, &order) {
-                break;
-            }
-        }
-        // Collect return-operand taint.
-        let mut ret = BitSet::new(n_labels);
-        for node in cfg.node_ids() {
-            if let Some(id) = cfg.stmt_of(node) {
-                if let Some(stmt) = func.stmt(id) {
-                    if let StmtKind::Return(Some(e)) = &stmt.kind {
-                        let t = analysis.expr_taint_at(node, e, model);
-                        ret.union_with(&t);
-                    }
+        // Condition reads of every branch node: tracked rows, plus the
+        // ambient variables and callees the condition observes.
+        let implicit = model.implicit_flows();
+        let mut conds: Vec<Option<NodePlan>> = vec![None; cfg.len()];
+        if implicit {
+            for (node, stmt) in stmts.iter().enumerate() {
+                let Some(stmt) = stmt else { continue };
+                if let StmtKind::If { cond, .. } | StmtKind::While { cond, .. } = &stmt.kind {
+                    let mut plan = NodePlan::default();
+                    expr_reads(cond, &mut |read| match read {
+                        Read::Var(v) => {
+                            if let Some(i) = index(&v) {
+                                plan.reads.push(node * stride + i * words);
+                            }
+                            plan.ambient.push(v);
+                        }
+                        Read::Call(callee) => plan.calls.push(callee),
+                    });
+                    conds[node] = Some(plan);
                 }
             }
         }
-        analysis.ret_taint = ret;
+
+        let plans: Vec<NodePlan> = stmts
+            .iter()
+            .zip(&effects)
+            .enumerate()
+            .map(|(node, (stmt, eff))| {
+                let (Some(stmt), Some(eff)) = (stmt, eff) else {
+                    return NodePlan::default();
+                };
+                if eff.defs.is_empty() {
+                    return NodePlan::default();
+                }
+                let mut plan = NodePlan {
+                    defs: eff
+                        .defs
+                        .iter()
+                        .map(|(v, strong)| (index(v).expect("defs are tracked"), *strong))
+                        .collect(),
+                    ..NodePlan::default()
+                };
+                for u in &eff.uses {
+                    plan.reads
+                        .push(node * stride + index(u).expect("uses are tracked") * words);
+                    plan.ambient.push(*u);
+                }
+                each_call(stmt, &mut |callee| plan.calls.push(callee));
+                if implicit {
+                    for b in control.transitive_controllers(node) {
+                        if let Some(cond) = &conds[b] {
+                            plan.reads.extend_from_slice(&cond.reads);
+                            plan.ambient.extend_from_slice(&cond.ambient);
+                            plan.calls.extend_from_slice(&cond.calls);
+                        }
+                    }
+                }
+                plan.reads.sort_unstable();
+                plan.reads.dedup();
+                plan.ambient.sort();
+                plan.ambient.dedup();
+                plan.calls.sort();
+                plan.calls.dedup();
+                plan
+            })
+            .collect();
+
+        let mut analysis = TaintAnalysis {
+            n_labels,
+            iterations: 0,
+            ret_taint: BitSet::new(n_labels),
+            words,
+            stride,
+            in_states: vec![0; cfg.len() * stride],
+            out_states: vec![0; cfg.len() * stride],
+            consts: vec![0; cfg.len() * words],
+            plans,
+            order: cfg.reverse_postorder(),
+            vars,
+        };
+        analysis.update(func, cfg, model);
         analysis
     }
 
+    /// Re-solves this analysis after its model has grown, warm from the
+    /// current solution; the result equals a fresh [`TaintAnalysis::compute`]
+    /// under `model` (see the module docs).
+    ///
+    /// `model` may differ from the one the analysis was computed with only
+    /// by answering `ambient`, `call_result` and `gen` with supersets;
+    /// `labels`, `call_effect` and `implicit_flows` must be unchanged, and
+    /// `func`, `cfg` must be the ones given to `compute`.
+    ///
+    /// # Panics
+    ///
+    /// As [`TaintAnalysis::compute`].
+    pub fn update(&mut self, func: &Function, cfg: &Cfg, model: &dyn TaintModel) {
+        // Iterate from the current states to the least fixpoint above them
+        // (from bottom when called by `compute`), then collect the
+        // return-operand taint.
+        let stmts = cfg.stmts(func);
+        self.refresh_consts(&stmts, model);
+        // Chaotic iteration in reverse postorder until stable. The bound is
+        // generous: each pass either changes at least one bit or stops, and
+        // there are at most nodes × vars × labels bits.
+        let bound = 2 + cfg.len() * (self.vars.len() + 1) * (self.n_labels + 1);
+        let mut row = vec![0u64; self.stride];
+        let mut rhs = vec![0u64; self.words];
+        self.iterations = 0;
+        loop {
+            self.iterations += 1;
+            assert!(
+                self.iterations <= bound,
+                "taint fixpoint did not stabilize within {bound} passes"
+            );
+            if !self.pass(cfg, &mut row, &mut rhs) {
+                break;
+            }
+        }
+        let mut ret = BitSet::new(self.n_labels);
+        for (node, stmt) in stmts.iter().enumerate() {
+            if let Some(Stmt {
+                kind: StmtKind::Return(Some(e)),
+                ..
+            }) = stmt
+            {
+                ret.union_with(&self.expr_taint_at(node, e, model));
+            }
+        }
+        self.ret_taint = ret;
+    }
+
+    /// Folds the model's answers for every node's constant inputs (`gen`,
+    /// call results, ambient taint of everything it reads) into `consts`.
+    /// `stmts` is the CFG's statement table ([`Cfg::stmts`]).
+    fn refresh_consts(&mut self, stmts: &[Option<&Stmt>], model: &dyn TaintModel) {
+        let mut t = BitSet::new(self.n_labels);
+        // With no labels `consts` is empty and there is nothing to fold
+        // (`max(1)` only keeps the chunk size legal).
+        for ((plan, row), stmt) in self
+            .plans
+            .iter()
+            .zip(self.consts.chunks_exact_mut(self.words.max(1)))
+            .zip(stmts)
+        {
+            let Some(stmt) = stmt.filter(|_| !plan.defs.is_empty()) else {
+                continue;
+            };
+            t.clear();
+            for &callee in &plan.calls {
+                model.call_result(callee, &mut t);
+            }
+            model.gen(stmt, &mut t);
+            for &v in &plan.ambient {
+                model.ambient(v, &mut t);
+            }
+            row.copy_from_slice(t.words());
+        }
+    }
+
     /// One full propagation pass; returns `true` if any state changed.
-    fn pass(
-        &mut self,
-        func: &Function,
-        cfg: &Cfg,
-        control: &ControlDeps,
-        model: &dyn TaintModel,
-        order: &[NodeId],
-    ) -> bool {
+    /// `row` and `rhs` are scratch buffers of one node row and one label
+    /// set.
+    fn pass(&mut self, cfg: &Cfg, row: &mut [u64], rhs: &mut [u64]) -> bool {
+        let (stride, words) = (self.stride, self.words);
         let mut changed = false;
-        for &node in order {
+        for &node in &self.order {
+            let at = node * stride..(node + 1) * stride;
             // IN = join of predecessor OUTs (entry keeps bottom; ambient
             // taint is added at reads, not stored in the state).
             if node != ENTRY {
-                let mut joined = vec![BitSet::new(self.n_labels); self.vars.len()];
+                row.fill(0);
                 for &p in cfg.preds(node) {
-                    for (j, o) in joined.iter_mut().zip(&self.out_states[p]) {
-                        j.union_with(o);
-                    }
+                    or_words(row, &self.out_states[p * stride..(p + 1) * stride]);
                 }
-                if joined != self.in_states[node] {
-                    self.in_states[node] = joined;
+                if *row != self.in_states[at.clone()] {
+                    self.in_states[at.clone()].copy_from_slice(row);
                     changed = true;
                 }
             }
-            let out = self.transfer(func, cfg, control, model, node);
-            if out != self.out_states[node] {
-                self.out_states[node] = out;
+            // OUT = IN with the definitions overwritten (strong) or joined
+            // (weak) with the taint the statement writes.
+            row.copy_from_slice(&self.in_states[at.clone()]);
+            let plan = &self.plans[node];
+            if !plan.defs.is_empty() {
+                rhs.copy_from_slice(&self.consts[node * words..(node + 1) * words]);
+                for &off in &plan.reads {
+                    or_words(rhs, &self.in_states[off..off + words]);
+                }
+                for &(i, strong) in &plan.defs {
+                    let dst = &mut row[i * words..(i + 1) * words];
+                    if strong {
+                        dst.copy_from_slice(rhs);
+                    } else {
+                        or_words(dst, rhs);
+                    }
+                }
+            }
+            if *row != self.out_states[at.clone()] {
+                self.out_states[at].copy_from_slice(row);
                 changed = true;
             }
         }
         changed
     }
 
-    /// Applies the statement transfer function to the node's IN state.
-    fn transfer(
-        &self,
-        func: &Function,
-        cfg: &Cfg,
-        control: &ControlDeps,
-        model: &dyn TaintModel,
-        node: NodeId,
-    ) -> VarState {
-        let mut state = self.in_states[node].clone();
-        let Some(id) = cfg.stmt_of(node) else {
-            return state;
-        };
-        let stmt = func.stmt(id).expect("stmt in cfg exists");
-        let eff = &self.effects[node];
-        if eff.defs.is_empty() {
-            return state;
-        }
-        // Taint written into every defined variable: the union of the taints
-        // of the read operands, call results, generated labels, and (for
-        // implicit flows) the controlling branch conditions.
-        let mut rhs = BitSet::new(self.n_labels);
-        for u in &eff.uses {
-            rhs.union_with(&self.read_taint_in(&self.in_states[node], *u, model));
-        }
-        each_call(stmt, &mut |callee| model.call_result(callee, &mut rhs));
-        model.gen(stmt, &mut rhs);
-        if model.implicit_flows() {
-            for b in control.transitive_controllers(node) {
-                let t = self.branch_cond_taint(func, cfg, b, model);
-                rhs.union_with(&t);
-            }
-        }
-        for (v, strong) in &eff.defs {
-            let i = self.index[v];
-            if *strong {
-                state[i] = rhs.clone();
-            } else {
-                state[i].union_with(&rhs);
-            }
-        }
-        state
-    }
-
-    /// Taint observed when reading `v` in `state` (state plus ambient).
-    fn read_taint_in(&self, state: &VarState, v: VarId, model: &dyn TaintModel) -> BitSet {
-        let mut t = match self.index.get(&v) {
-            Some(&i) => state[i].clone(),
-            None => BitSet::new(self.n_labels),
-        };
-        model.ambient(v, &mut t);
-        t
-    }
-
-    /// Taint of the condition evaluated at branch node `b` (under `b`'s IN
-    /// state).
-    fn branch_cond_taint(
-        &self,
-        func: &Function,
-        cfg: &Cfg,
-        b: NodeId,
-        model: &dyn TaintModel,
-    ) -> BitSet {
+    /// Taint of tracked variable `v` in the given state row, plus ambient.
+    fn read(&self, states: &[u64], node: NodeId, v: VarId, model: &dyn TaintModel) -> BitSet {
         let mut t = BitSet::new(self.n_labels);
-        let Some(id) = cfg.stmt_of(b) else { return t };
-        if let Some(stmt) = func.stmt(id) {
-            if let StmtKind::If { cond, .. } | StmtKind::While { cond, .. } = &stmt.kind {
-                t = self.expr_taint_at(b, cond, model);
-            }
+        if let Ok(i) = self.vars.binary_search(&v) {
+            let at = node * self.stride + i * self.words;
+            t.union_words(&states[at..at + self.words]);
         }
+        model.ambient(v, &mut t);
         t
     }
 
@@ -292,75 +394,73 @@ impl TaintAnalysis {
     /// of any calls it contains.
     pub fn expr_taint_at(&self, node: NodeId, e: &Expr, model: &dyn TaintModel) -> BitSet {
         let mut t = BitSet::new(self.n_labels);
-        let state = &self.in_states[node];
-        e.walk(&mut |e| match e {
-            Expr::Local(l) => {
-                t.union_with(&self.read_taint_in(state, VarId::Local(*l), model));
+        expr_reads(e, &mut |read| match read {
+            Read::Var(v) => {
+                t.union_with(&self.read(&self.in_states, node, v, model));
             }
-            Expr::Global(g) => {
-                t.union_with(&self.read_taint_in(state, VarId::Global(*g), model));
-            }
-            Expr::FieldGet { class, field, .. } => {
-                t.union_with(&self.read_taint_in(state, VarId::Field(*class, *field), model));
-            }
-            Expr::Call { callee, .. } => model.call_result(callee.func(), &mut t),
-            _ => {}
+            Read::Call(callee) => model.call_result(callee, &mut t),
         });
         t
     }
 
     /// Taint of `v` *before* the statement at `node` executes.
     pub fn var_taint_before(&self, node: NodeId, v: VarId, model: &dyn TaintModel) -> BitSet {
-        self.read_taint_in(&self.in_states[node], v, model)
+        self.read(&self.in_states, node, v, model)
     }
 
     /// Taint of `v` *after* the statement at `node` executes.
     pub fn var_taint_after(&self, node: NodeId, v: VarId, model: &dyn TaintModel) -> BitSet {
-        let mut t = match self.index.get(&v) {
-            Some(&i) => self.out_states[node][i].clone(),
-            None => BitSet::new(self.n_labels),
-        };
-        model.ambient(v, &mut t);
-        t
+        self.read(&self.out_states, node, v, model)
     }
 
     /// The statement ids whose node state carries at least one label — the
     /// tainted program points, in CFG order.
     pub fn tainted_stmts(&self, cfg: &Cfg) -> Vec<StmtId> {
-        let mut out = Vec::new();
-        for node in cfg.node_ids() {
-            if let CfgNode::Stmt(id) = cfg.node(node) {
-                if self.in_states[node].iter().any(|t| !t.is_empty()) {
-                    out.push(id);
-                }
-            }
-        }
-        out
+        let stride = self.stride;
+        cfg.node_ids()
+            .filter_map(|node| match cfg.node(node) {
+                CfgNode::Stmt(id) => self.in_states[node * stride..(node + 1) * stride]
+                    .iter()
+                    .any(|&w| w != 0)
+                    .then_some(id),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// Returns `true` if one more full pass would not change any state —
-    /// i.e. the computed solution is a genuine (post-)fixpoint. Used by the
-    /// property tests.
+    /// Returns `true` if one more full pass under `model` would not change
+    /// any state — i.e. the computed solution is a genuine (post-)fixpoint.
+    /// Used by the property tests.
     pub fn is_fixpoint(
         &self,
         func: &Function,
         cfg: &Cfg,
-        control: &ControlDeps,
+        _control: &ControlDeps,
         model: &dyn TaintModel,
     ) -> bool {
-        let order = cfg.reverse_postorder();
-        let mut probe = TaintAnalysis {
-            vars: self.vars.clone(),
-            n_labels: self.n_labels,
-            iterations: 0,
-            index: self.index.clone(),
-            in_states: self.in_states.clone(),
-            out_states: self.out_states.clone(),
-            effects: self.effects.clone(),
-            ret_taint: self.ret_taint.clone(),
-        };
-        !probe.pass(func, cfg, control, model, &order)
+        let mut probe = self.clone();
+        probe.refresh_consts(&cfg.stmts(func), model);
+        let mut row = vec![0u64; probe.stride];
+        let mut rhs = vec![0u64; probe.words];
+        !probe.pass(cfg, &mut row, &mut rhs)
     }
+}
+
+/// What an expression observes: a variable's value or a call's result.
+enum Read {
+    Var(VarId),
+    Call(FuncId),
+}
+
+/// Invokes `f` for every variable read and direct call in `e`, pre-order.
+fn expr_reads(e: &Expr, f: &mut impl FnMut(Read)) {
+    e.walk(&mut |e| match e {
+        Expr::Local(l) => f(Read::Var(VarId::Local(*l))),
+        Expr::Global(g) => f(Read::Var(VarId::Global(*g))),
+        Expr::FieldGet { class, field, .. } => f(Read::Var(VarId::Field(*class, *field))),
+        Expr::Call { callee, .. } => f(Read::Call(callee.func())),
+        _ => {}
+    });
 }
 
 /// Invokes `f` for every direct call in the statement's expressions.

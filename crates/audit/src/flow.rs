@@ -13,6 +13,15 @@
 //! iterates per-function analyses until these summaries stop changing —
 //! all joins are monotone over finite bit-sets, so the loop terminates.
 //!
+//! The fixpoint loop is incremental. Each function keeps its analysis across
+//! rounds; a round re-solves only the functions whose parameter,
+//! callee-return or shared-state summaries grew since their last solve,
+//! warm from their previous fixpoint. Because summaries only grow and the
+//! transfer is monotone, the warm solve lands on the same fixpoint a cold
+//! one would, and a skipped function would have pushed nothing new — so
+//! the result, `rounds` included, is exactly that of re-solving every
+//! function every round.
+//!
 //! The result says, for every leak label, *which open statements the leaked
 //! value reaches* — the audit's flow evidence — and powers the soundness
 //! check: a leak label that exists without a declared ILP is an
@@ -198,17 +207,38 @@ pub fn analyze_open_flow(
     let mut shared: HashMap<VarId, BitSet> = HashMap::new();
 
     // Per-function structures are input-independent; compute once.
-    let prepared: Vec<(FuncId, Cfg, ControlDeps)> = funcs
+    let mut slots: Vec<FuncSlot> = funcs
         .iter()
         .map(|&f| {
             let cfg = Cfg::build(open.func(f));
             let postdom = DomTree::postdominators(&cfg);
             let control = ControlDeps::compute(&cfg, &postdom);
-            (f, cfg, control)
+            FuncSlot {
+                f,
+                stmts: cfg.stmts(open.func(f)),
+                cfg,
+                control,
+                ta: None,
+                dirty: true,
+            }
         })
         .collect();
+    let slot_of: HashMap<FuncId, usize> = funcs.iter().enumerate().map(|(i, &f)| (f, i)).collect();
+    // Who reads each summary: a function's return summary is read by its
+    // callers, a global's or field's shared summary by every function that
+    // mentions it (filled in as functions are first solved).
+    let callers: HashMap<FuncId, Vec<usize>> = funcs
+        .iter()
+        .map(|&f| {
+            let users = callgraph
+                .callers(f)
+                .filter_map(|c| slot_of.get(&c).copied())
+                .collect();
+            (f, users)
+        })
+        .collect();
+    let mut readers: HashMap<VarId, Vec<usize>> = HashMap::new();
 
-    let mut analyses: HashMap<FuncId, TaintAnalysis> = HashMap::new();
     let mut rounds = 0usize;
     // Each round either grows a summary bit or is the last; the total bit
     // count bounds the loop.
@@ -217,60 +247,87 @@ pub fn analyze_open_flow(
         rounds += 1;
         assert!(rounds <= bound, "open-flow summaries did not stabilize");
         let mut changed = false;
-        for (f, cfg, control) in &prepared {
-            let func = open.func(*f);
+        for i in 0..slots.len() {
+            // A function none of whose summaries grew since its last solve
+            // would reproduce its previous fixpoint and push nothing new.
+            if !slots[i].dirty {
+                continue;
+            }
+            slots[i].dirty = false;
+            let slot = &mut slots[i];
+            let f = slot.f;
+            let func = open.func(f);
             let empty = Vec::new();
             let model = OpenModel {
                 n,
                 frag_labels: &frag_labels,
-                params: param_taint.get(f).unwrap_or(&empty),
+                params: param_taint.get(&f).unwrap_or(&empty),
                 shared: &shared,
                 ret_taint: &ret_taint,
                 modref: &modref,
             };
-            let ta = TaintAnalysis::compute(func, cfg, control, &model);
-
+            // Summaries only grow and the transfer is monotone, so the
+            // previous fixpoint is a sound warm start (see
+            // `TaintAnalysis::update`).
+            let ta = match &mut slot.ta {
+                Some(ta) => {
+                    ta.update(func, &slot.cfg, &model);
+                    &*ta
+                }
+                None => {
+                    let ta = TaintAnalysis::compute(func, &slot.cfg, &slot.control, &model);
+                    for v in &ta.vars {
+                        if matches!(v, VarId::Global(_) | VarId::Field(..)) {
+                            readers.entry(*v).or_default().push(i);
+                        }
+                    }
+                    &*slot.ta.insert(ta)
+                }
+            };
             // Push argument taint into callee parameter summaries and
             // shared-state taint out of global/field definitions.
+            let shared_vars: Vec<VarId> = ta
+                .vars
+                .iter()
+                .copied()
+                .filter(|v| matches!(v, VarId::Global(_) | VarId::Field(..)))
+                .collect();
             let mut arg_updates: Vec<(FuncId, usize, BitSet)> = Vec::new();
             let mut shared_updates: Vec<(VarId, BitSet)> = Vec::new();
-            for node in cfg.node_ids() {
-                let Some(id) = cfg.stmt_of(node) else {
-                    continue;
-                };
-                let stmt = func.stmt(id).expect("stmt in cfg");
+            for (node, stmt) in slot.stmts.iter().enumerate() {
+                let Some(stmt) = stmt else { continue };
+                // Visits every sub-expression once.
                 hps_ir::visit::for_each_expr_in_stmt(stmt, &mut |e| {
-                    e.walk(&mut |e| {
-                        if let Expr::Call { callee, args } = e {
-                            for (i, arg) in args.iter().enumerate() {
-                                let t = ta.expr_taint_at(node, arg, &model);
-                                if !t.is_empty() {
-                                    arg_updates.push((callee.func(), i, t));
-                                }
+                    if let Expr::Call { callee, args } = e {
+                        for (i, arg) in args.iter().enumerate() {
+                            let t = ta.expr_taint_at(node, arg, &model);
+                            if !t.is_empty() {
+                                arg_updates.push((callee.func(), i, t));
                             }
                         }
-                    });
+                    }
                 });
-                for v in ta.vars.clone() {
-                    if matches!(v, VarId::Global(_) | VarId::Field(..)) {
-                        let t = ta.var_taint_after(node, v, &model);
-                        if !t.is_empty() {
-                            shared_updates.push((v, t));
-                        }
+                for &v in &shared_vars {
+                    let t = ta.var_taint_after(node, v, &model);
+                    if !t.is_empty() {
+                        shared_updates.push((v, t));
                     }
                 }
             }
             // All queries against `model` are done; the summary maps can be
             // mutated now. Refresh this function's return summary first.
-            let entry = ret_taint.get_mut(f).expect("summary exists");
+            let mut grown: Vec<usize> = Vec::new();
+            let entry = ret_taint.get_mut(&f).expect("summary exists");
             if entry.union_with(&ta.ret_taint) {
                 changed = true;
+                grown.extend(&callers[&f]);
             }
             for (callee, i, t) in arg_updates {
                 if let Some(params) = param_taint.get_mut(&callee) {
                     if let Some(p) = params.get_mut(i) {
                         if p.union_with(&t) {
                             changed = true;
+                            grown.push(slot_of[&callee]);
                         }
                     }
                 }
@@ -279,10 +336,12 @@ pub fn analyze_open_flow(
                 let entry = shared.entry(v).or_insert_with(|| BitSet::new(n));
                 if entry.union_with(&t) {
                     changed = true;
+                    grown.extend(readers.get(&v).into_iter().flatten());
                 }
             }
-
-            analyses.insert(*f, ta);
+            for j in grown {
+                slots[j].dirty = true;
+            }
         }
         if !changed {
             break;
@@ -290,35 +349,49 @@ pub fn analyze_open_flow(
     }
 
     // Summarize per function from the final (stable) analyses.
-    let per_func = prepared
+    let per_func = slots
         .iter()
-        .map(|(f, cfg, _)| {
-            let ta = &analyses[f];
+        .map(|slot| {
+            let f = slot.f;
+            let ta = slot
+                .ta
+                .as_ref()
+                .expect("every function is solved in round 1");
             let empty = Vec::new();
             let model = OpenModel {
                 n,
                 frag_labels: &frag_labels,
-                params: param_taint.get(f).unwrap_or(&empty),
+                params: param_taint.get(&f).unwrap_or(&empty),
                 shared: &shared,
                 ret_taint: &ret_taint,
                 modref: &modref,
             };
-            let func = open.func(*f);
+            let func = open.func(f);
             let mut tainted_stmts = Vec::new();
             let mut stmts_per_label = vec![0usize; n];
-            for node in cfg.node_ids() {
-                let Some(id) = cfg.stmt_of(node) else {
-                    continue;
-                };
-                let stmt = func.stmt(id).expect("stmt in cfg");
+            for (node, stmt) in slot.stmts.iter().enumerate() {
+                let Some(stmt) = stmt else { continue };
                 // A statement is "reached" when leaked data flows through
                 // it: an expression it evaluates is tainted (covers call
                 // results consumed without being stored, e.g. `print(f(x))`)
                 // or a variable it defines ends up tainted (covers gen sites
-                // and implicit flows under tainted branches).
+                // and implicit flows under tainted branches). Every
+                // sub-expression is visited once, so each contributes its
+                // own reads and call results.
                 let mut present = BitSet::new(n);
-                hps_ir::visit::for_each_expr_in_stmt(stmt, &mut |e| {
-                    present.union_with(&ta.expr_taint_at(node, e, &model));
+                hps_ir::visit::for_each_expr_in_stmt(stmt, &mut |e| match e {
+                    Expr::Local(l) => {
+                        present.union_with(&ta.var_taint_before(node, VarId::Local(*l), &model));
+                    }
+                    Expr::Global(g) => {
+                        present.union_with(&ta.var_taint_before(node, VarId::Global(*g), &model));
+                    }
+                    Expr::FieldGet { class, field, .. } => {
+                        let v = VarId::Field(*class, *field);
+                        present.union_with(&ta.var_taint_before(node, v, &model));
+                    }
+                    Expr::Call { callee, .. } => model.call_result(callee.func(), &mut present),
+                    _ => {}
                 });
                 let eff =
                     hps_analysis::vars::stmt_effect(func, stmt, &mut |_| (Vec::new(), Vec::new()));
@@ -326,7 +399,7 @@ pub fn analyze_open_flow(
                     present.union_with(&ta.var_taint_after(node, *v, &model));
                 }
                 if !present.is_empty() {
-                    tainted_stmts.push(id);
+                    tainted_stmts.push(stmt.id);
                 }
                 for label in present.iter() {
                     stmts_per_label[label] += 1;
@@ -335,7 +408,7 @@ pub fn analyze_open_flow(
             tainted_stmts.sort();
             tainted_stmts.dedup();
             (
-                *f,
+                f,
                 FuncFlow {
                     tainted_stmts,
                     stmts_per_label,
@@ -349,6 +422,19 @@ pub fn analyze_open_flow(
         per_func,
         rounds,
     }
+}
+
+/// One analyzed function across the interprocedural rounds.
+struct FuncSlot<'p> {
+    f: FuncId,
+    /// The function's statements by CFG node.
+    stmts: Vec<Option<&'p Stmt>>,
+    cfg: Cfg,
+    control: ControlDeps,
+    /// The fixpoint under the summaries as of this function's last solve.
+    ta: Option<TaintAnalysis>,
+    /// Whether a summary this function reads grew since its last solve.
+    dirty: bool,
 }
 
 #[cfg(test)]

@@ -59,6 +59,7 @@ pub use planner::{plan_to_json, render_plan, Measurer, PlanError, PlanReport, Pl
 
 use hps_core::SplitResult;
 use hps_ir::Program;
+use hps_security::SecurityReport;
 
 /// Table 3/4 aggregates embedded in the report, so machine-readable audit
 /// output carries the same numbers as `hps analyze`.
@@ -133,6 +134,22 @@ impl AuditReport {
 /// `original` must be the pre-split program (ILP statement ids refer to
 /// it); `split` the corresponding [`SplitResult`].
 pub fn audit_split(original: &Program, split: &SplitResult) -> AuditReport {
+    audit_with_security(
+        original,
+        split,
+        &hps_security::analyze_split(original, split),
+    )
+}
+
+/// [`audit_split`] with the split's §3 security report already in hand:
+/// `security` must be `hps_security::analyze_split(original, split)`. The
+/// planner computes that report anyway, so it hands it over instead of
+/// having the audit analyze the split again.
+pub(crate) fn audit_with_security(
+    original: &Program,
+    split: &SplitResult,
+    security: &SecurityReport,
+) -> AuditReport {
     let facts = fragment::analyze_fragments(&split.hidden.components);
     let declared = lints::declared_ilps(split);
     let mut hidden_frags: Vec<_> = facts
@@ -142,14 +159,13 @@ pub fn audit_split(original: &Program, split: &SplitResult) -> AuditReport {
         .collect();
     hidden_frags.sort();
     let flow = flow::analyze_open_flow(&split.open, &hidden_frags, &declared);
-    let security = hps_security::analyze_split(original, split);
 
     let (mut diagnostics, suppressed) = lints::run_all(&lints::LintInput {
         original,
         split,
         facts: &facts,
         flow: &flow,
-        security: &security,
+        security,
     });
     diagnostics.sort_by(|a, b| {
         (

@@ -148,6 +148,23 @@ fn check_hidden_calls(input: &LintInput<'_>, sink: &mut Sink) {
 /// `open_hidden_read`: the open component must not reference fully hidden
 /// variables — every definition of those lives in the hidden component.
 fn check_open_hidden_reads(input: &LintInput<'_>, sink: &mut Sink) {
+    // Every open statement's touched variables (uses, then defs, without
+    // repeats), computed once and tested against each report below.
+    let mut touched_by_func: Vec<Vec<(&Stmt, Vec<VarId>)>> = Vec::new();
+    for func in &input.split.open.functions {
+        let mut stmts = Vec::new();
+        hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
+            let eff = stmt_effect(func, stmt, &mut |_| (Vec::new(), Vec::new()));
+            let mut touched: Vec<VarId> = Vec::new();
+            for v in eff.uses.iter().chain(eff.defs.iter().map(|(v, _)| v)) {
+                if !touched.contains(v) {
+                    touched.push(*v);
+                }
+            }
+            stmts.push((stmt, touched));
+        });
+        touched_by_func.push(stmts);
+    }
     for report in &input.split.reports {
         let fully_hidden: BTreeSet<VarId> = report
             .hidden_vars
@@ -158,23 +175,26 @@ fn check_open_hidden_reads(input: &LintInput<'_>, sink: &mut Sink) {
         if fully_hidden.is_empty() {
             continue;
         }
-        for (fi, func) in input.split.open.functions.iter().enumerate() {
+        for (fi, (func, stmts)) in input
+            .split
+            .open
+            .functions
+            .iter()
+            .zip(&touched_by_func)
+            .enumerate()
+        {
             let fid = FuncId::new(fi);
-            hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
-                let eff = stmt_effect(func, stmt, &mut |_| (Vec::new(), Vec::new()));
-                let mut touched: Vec<VarId> = Vec::new();
-                for v in eff.uses.iter().chain(eff.defs.iter().map(|(v, _)| v)) {
+            for (stmt, touched) in stmts {
+                for &v in touched {
                     // Local ids are function-scoped: only compare them
                     // inside the split function itself.
                     let in_scope = match v {
                         VarId::Local(_) => fid == report.func,
                         VarId::Global(_) | VarId::Field(..) => true,
                     };
-                    if in_scope && fully_hidden.contains(v) && !touched.contains(v) {
-                        touched.push(*v);
+                    if !in_scope || !fully_hidden.contains(&v) {
+                        continue;
                     }
-                }
-                for v in touched {
                     sink.emit(
                         Diagnostic::new(
                             &diag::OPEN_HIDDEN_READ,
@@ -190,7 +210,7 @@ fn check_open_hidden_reads(input: &LintInput<'_>, sink: &mut Sink) {
                         Some(func),
                     );
                 }
-            });
+            }
         }
     }
 }

@@ -40,7 +40,7 @@
 //! the budget verdict), so a program needing many downgrades pays one
 //! original-vs-split run per level: keep the measurement workload small.
 
-use crate::{audit_split, AuditReport, Severity};
+use crate::{audit_with_security, AuditReport, Severity};
 use hps_core::{harden_split, split_program, HardenReport, SplitError, SplitPlan, SplitResult};
 use hps_ir::{ComponentId, FragLabel, Program};
 use hps_security::{
@@ -375,7 +375,7 @@ impl<'p> Planner<'p> {
         report.masked_after = report
             .weak_after
             .saturating_sub(report.security.weak_unmasked());
-        report.audit = audit_split(program, &split);
+        report.audit = audit_with_security(program, &split, &report.security);
 
         // 4. Measure (when a hook is attached) and predict with the
         //    calibrated model. Calibration starts from the caller's model

@@ -7,7 +7,7 @@
 use crate::{Block, Expr, Stmt, StmtId, StmtKind};
 
 /// Visits every statement in the block, pre-order.
-pub fn for_each_stmt(block: &Block, f: &mut impl FnMut(&Stmt)) {
+pub fn for_each_stmt<'a>(block: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
     for stmt in &block.stmts {
         f(stmt);
         match &stmt.kind {

@@ -123,7 +123,7 @@ pub use interp::{
 pub use journal::{JournalOp, SessionJournal};
 pub use memo::MemoTable;
 pub use server::{ReplayCache, SecureServer, SeqCheck};
-pub use shard::ShardStats;
+pub use shard::{ShardPause, ShardStats};
 pub use tcp::{ChaosConfig, RetryPolicy, ServerStats, SessionServer, SessionServerHandle};
 pub use trace::{Trace, TraceChannel, TraceEvent};
 pub use value::RtValue;

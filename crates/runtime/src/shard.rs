@@ -99,6 +99,8 @@ pub(crate) struct StatsInner {
     /// Shard indexes queued for a deliberate kill (`kill_shard`); the
     /// supervisor services these on its next tick.
     pub(crate) kill_requests: Mutex<Vec<usize>>,
+    /// Executor holds queued by `pause_shard`, serviced like kills.
+    pub(crate) pause_requests: Mutex<Vec<PauseRequest>>,
     pub(crate) shards: Mutex<Vec<Arc<ShardCounters>>>,
 }
 
@@ -238,6 +240,36 @@ pub(crate) enum ExecMsg {
     /// Deliberate executor suicide (kill-switch faults, `kill_shard`).
     /// The supervisor respawns the shard; sessions rebuild by replay.
     Crash,
+    /// Hold the executor (`pause_shard`): signal `parked`, then block
+    /// until `resume`'s sender is dropped.
+    Pause {
+        parked: Sender<()>,
+        resume: Receiver<()>,
+    },
+}
+
+/// A queued `pause_shard` request: which shard, and the two ends the
+/// executor uses to report that it parked and to wait for release.
+#[derive(Debug)]
+pub(crate) struct PauseRequest {
+    pub(crate) shard: usize,
+    pub(crate) parked: Sender<()>,
+    pub(crate) resume: Receiver<()>,
+}
+
+/// Holds one shard executor between two messages for as long as it lives
+/// (see `SessionServerHandle::pause_shard`). Dropping it releases the
+/// shard, which then serves its queue in order.
+#[must_use = "the shard resumes as soon as the pause is dropped"]
+#[derive(Debug)]
+pub struct ShardPause {
+    _resume: Sender<()>,
+}
+
+impl ShardPause {
+    pub(crate) fn new(resume: Sender<()>) -> ShardPause {
+        ShardPause { _resume: resume }
+    }
 }
 
 /// The cloneable handle connection threads use to reach the pool. Routes
@@ -504,6 +536,34 @@ fn supervise(
                 }
             }
         }
+        // Deliberate holds (tests pinning an executor busy).
+        let pauses: Vec<PauseRequest> =
+            std::mem::take(&mut *stats.pause_requests.lock().expect("pause requests lock"));
+        for req in pauses {
+            let Some(slot) = slots.get(req.shard) else {
+                continue;
+            };
+            let sender = slot.lock().expect("shard slot lock").clone();
+            if let Some(tx) = sender {
+                let msg = ExecMsg::Pause {
+                    parked: req.parked,
+                    resume: req.resume,
+                };
+                if let Err(TrySendError::Full(ExecMsg::Pause { parked, resume })) = tx.try_send(msg)
+                {
+                    // Queue saturated; retry on the next tick.
+                    stats
+                        .pause_requests
+                        .lock()
+                        .expect("pause requests lock")
+                        .push(PauseRequest {
+                            shard: req.shard,
+                            parked,
+                            resume,
+                        });
+                }
+            }
+        }
         // Respawn any executor that died — killed, panicked, whatever.
         for shard in 0..threads.len() {
             if !threads[shard].is_finished() {
@@ -585,6 +645,11 @@ fn run_shard_executor(
         }
         match msg {
             ExecMsg::Crash => return,
+            ExecMsg::Pause { parked, resume } => {
+                let _ = parked.send(());
+                // Returns when the `ShardPause` (the only sender) drops.
+                let _ = resume.recv();
+            }
             ExecMsg::Hello { session, reply } => {
                 let next = match open_session(&mut sessions, session, &ctx) {
                     SessionSlot::Live(state) => state.replay.next_seq(),

@@ -726,6 +726,34 @@ impl SessionServerHandle {
             .push(shard);
     }
 
+    /// Holds one shard executor between two messages until the returned
+    /// [`ShardPause`](crate::shard::ShardPause) is dropped, so a test can
+    /// keep a shard busy for exactly as long as it needs instead of
+    /// racing a sleep. The pause queues behind everything already sent
+    /// to the shard, and the call returns once the executor has reached
+    /// it; messages sent later wait behind it, bounded queue included.
+    /// Other shards are unaffected.
+    ///
+    /// Returns `None` when the shard index is out of range or the
+    /// executor did not reach the pause within 5 s (the server is not
+    /// serving). Drop the pause before [`SessionServerHandle::stop`]: the
+    /// drain waits for a held executor.
+    pub fn pause_shard(&self, shard: usize) -> Option<crate::shard::ShardPause> {
+        let (parked, parked_rx) = std::sync::mpsc::channel();
+        let (resume, resume_rx) = std::sync::mpsc::channel();
+        self.stats
+            .pause_requests
+            .lock()
+            .expect("pause-request lock")
+            .push(crate::shard::PauseRequest {
+                shard,
+                parked,
+                resume: resume_rx,
+            });
+        parked_rx.recv_timeout(Duration::from_secs(5)).ok()?;
+        Some(crate::shard::ShardPause::new(resume))
+    }
+
     /// Per-shard call/session/queue-depth counters, one entry per shard.
     pub fn shard_stats(&self) -> Vec<crate::shard::ShardStats> {
         self.stats.shard_stats()

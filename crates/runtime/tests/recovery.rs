@@ -324,8 +324,11 @@ fn torn_journal_tail_is_re_driven_by_session_resume() {
 #[test]
 fn back_pressure_blocks_only_the_busy_shard() {
     // Two shards, queue bound 1. Sessions 1/3 hash to shard 1, session 2
-    // to shard 0. A huge batch occupies shard 1's executor while another
-    // client queues behind it; shard 0 must keep serving throughout.
+    // to shard 0. A huge batch occupies shard 1 while another client
+    // queues behind it; shard 0 must keep serving throughout. Shard 1 is
+    // held by an executor-side pause from before the batch is sent until
+    // the fast client's calls have returned, so the outcome does not
+    // depend on how fast the batch executes.
     let server = SessionServer::bind("127.0.0.1:0", accumulator_program())
         .expect("bind")
         .with_shards(2)
@@ -335,9 +338,15 @@ fn back_pressure_blocks_only_the_busy_shard() {
     let serve = std::thread::spawn(move || server.serve(|_, _| {}));
     let c = ComponentId::new(0);
     let l = FragLabel::new(0);
+    let (pause_tx, pause_rx) = std::sync::mpsc::channel();
+    let pauser = handle.clone();
     let busy = std::thread::spawn(move || {
         let mut chan =
             TcpChannel::connect_reliable_with_session(addr, quick_policy(), 1).expect("connect");
+        // Hold shard 1 before sending the batch, which then waits behind
+        // the pause; the main thread releases it.
+        let pause = pauser.pause_shard(1).expect("pause shard 1");
+        pause_tx.send(pause).expect("hand over the pause");
         let calls: Vec<_> = (1..=80_000i64)
             .map(|n| hps_runtime::PendingCall {
                 component: c,
@@ -354,9 +363,9 @@ fn back_pressure_blocks_only_the_busy_shard() {
         );
         chan.shutdown().expect("shutdown");
     });
-    // Let the batch land in shard 1's executor, then pile a second client
-    // onto the same shard: its Hello sits in the bounded queue.
-    std::thread::sleep(Duration::from_millis(100));
+    // Once shard 1 is held, pile a second client onto the same shard: it
+    // queues behind the held executor with the batch.
+    let pause = pause_rx.recv().expect("busy client paused shard 1");
     let queued = std::thread::spawn(move || {
         let mut chan =
             TcpChannel::connect_reliable_with_session(addr, quick_policy(), 3).expect("connect");
@@ -376,6 +385,7 @@ fn back_pressure_blocks_only_the_busy_shard() {
         "the fast shard finished 50 calls while the busy shard was still \
          chewing its batch — back-pressure stayed local"
     );
+    drop(pause);
     fast.shutdown().expect("shutdown");
     busy.join().expect("busy client");
     queued.join().expect("queued client");
