@@ -39,13 +39,15 @@
 //! (each candidate plan's overhead must be observed, not predicted, for
 //! the budget verdict), so a program needing many downgrades pays one
 //! original-vs-split run per level: keep the measurement workload small.
+//! The post-hardening analysis and the audit feed no verdict, so they run
+//! once, for the level `plan()` returns.
 
 use crate::{audit_with_security, AuditReport, Severity};
 use hps_core::{harden_split, split_program, HardenReport, SplitError, SplitPlan, SplitResult};
 use hps_ir::{ComponentId, FragLabel, Program};
 use hps_security::{
-    analyze_split, predict, AcType, MeasuredCost, OptimizeLadder, PlanCostModel, PredictedCost,
-    SecurityReport, SeedChoice, SeedRule,
+    analyze_split, estimate_base_units, predict, AcType, MeasuredCost, OptimizeLadder,
+    PlanCostModel, PredictedCost, SecurityReport, SeedChoice, SeedRule,
 };
 
 /// Why planning failed.
@@ -290,19 +292,29 @@ impl<'p> Planner<'p> {
     }
 
     /// Runs the pipeline: resolve targets → split → analyze → harden →
-    /// re-analyze → audit → measure → verify budget, downgrading the plan
-    /// and repeating while a budget is exceeded and cheaper plans exist.
+    /// measure → predict → verify budget, downgrading the plan and
+    /// repeating while a budget is exceeded and cheaper plans exist; then
+    /// re-analyze and audit the plan it returns.
     ///
     /// The downgrade search holds one [`OptimizeLadder`], so the seed
     /// ranking and the per-candidate contribution memo are built once and
-    /// reused at every level; each visited level still costs one split +
-    /// analysis + audit and (when a measurer is attached) one measurement.
+    /// reused at every level. A visited level costs what its budget
+    /// verdict needs: one split (the one the ladder predicted on), the
+    /// pre-hardening analysis when hardening is on, the hardening pass,
+    /// one measurement when a measurer is attached, and one prediction.
+    /// Only the returned level is re-analyzed after hardening and audited.
     pub fn plan(self) -> Result<PlanReport, PlanError> {
         // The ladder is bounded by the total number of candidate moves;
         // 64 is far above any real program in the suite and a backstop
         // against a non-converging search.
         const MAX_LEVELS: usize = 64;
         let base_model = self.model.clone().unwrap_or_default();
+        // Without a measurer every prediction divides by the same static
+        // estimate of the original program's cost.
+        let static_base = match self.measurer {
+            Some(_) => None,
+            None => Some(estimate_base_units(self.program, &base_model)),
+        };
 
         // Explicit targets: the plan is fixed, no ladder.
         if let Some(plan) = &self.targets {
@@ -315,12 +327,14 @@ impl<'p> Planner<'p> {
             };
             report.plan = plan.clone();
             report.rule = self.rule;
-            return self.finish(report, &base_model);
+            let split = split_program(self.program, plan)?;
+            let level = self.assess(report, split, &base_model, static_base)?;
+            return Ok(self.finish(level));
         }
 
         let mut ladder = OptimizeLadder::new(self.program, self.rule, base_model.clone());
         loop {
-            let outcome = ladder.outcome(None);
+            let (outcome, split) = ladder.outcome_and_split(None);
             if outcome.plan.targets.is_empty() && outcome.level == 0 {
                 return Err(PlanError::NoTargets);
             }
@@ -334,68 +348,87 @@ impl<'p> Planner<'p> {
             report.dropped = outcome.dropped;
             report.rule = outcome.rule;
             report.rule_fallback = outcome.rule_fallback;
-            let report = self.finish(report, &base_model)?;
-            let over = report.within_budget == Some(false);
+            let level = self.assess(report, split?, &base_model, static_base)?;
+            let over = level.report.within_budget == Some(false);
             if !over || ladder.level() + 1 >= MAX_LEVELS || !ladder.descend() {
-                return Ok(report);
+                return Ok(self.finish(level));
             }
         }
     }
 
-    /// Steps 2–5 of the pipeline for an already-resolved plan: split,
-    /// analyze, harden, audit, measure, predict, verdict.
-    fn finish(
+    /// The budget half of the pipeline for one split plan: analyze the
+    /// unhardened split (only when hardening needs its weak groups),
+    /// harden, measure, predict and give the verdict. Nothing here reads
+    /// the post-hardening analysis or the audit, so levels the search
+    /// moves past never compute them.
+    fn assess(
         &self,
         mut report: PlanReport,
+        mut split: SplitResult,
         base_model: &PlanCostModel,
-    ) -> Result<PlanReport, PlanError> {
+        static_base: Option<u64>,
+    ) -> Result<Level, PlanError> {
         let program = self.program;
 
-        // 2. Split and analyze the unhardened result.
-        let mut split = split_program(program, &report.plan)?;
-        let before = analyze_split(program, &split);
-        report.lattice_before = before.counts_by_type();
-        report.weak_before = weak_count(&before);
+        // Harden the fragments feeding weak leaks of the unhardened split.
+        let before = if self.harden {
+            let before = analyze_split(program, &split);
+            report.hardening = harden_split(&mut split, &weak_groups(&before));
+            Some(before)
+        } else {
+            None
+        };
 
-        // 3. Harden weak fragments, then re-analyze so the security and
-        //    audit views describe what actually ships. Masking does not
-        //    change any ILP's adversary-model class — the analysis keeps
-        //    grading the underlying leak — so `weak_after` stays equal to
-        //    `weak_before`; what changes is that the weak leaks now ship
-        //    masked (`masked_after`) and the audit downgrades their
-        //    warnings to `masked_weak_ilp` notes.
-        if self.harden {
-            let groups = weak_groups(&before);
-            report.hardening = harden_split(&mut split, &groups);
-        }
-        report.security = analyze_split(program, &split);
-        report.lattice_after = report.security.counts_by_type();
-        report.lattice_wire = report.security.counts_by_wire_type();
-        report.weak_after = weak_count(&report.security);
-        report.masked_after = report
-            .weak_after
-            .saturating_sub(report.security.weak_unmasked());
-        report.audit = audit_with_security(program, &split, &report.security);
-
-        // 4. Measure (when a hook is attached) and predict with the
-        //    calibrated model. Calibration starts from the caller's model
-        //    so only the round-trip weight is replaced by telemetry.
+        // Measure (when a hook is attached) and predict with the
+        // calibrated model. Calibration starts from the caller's model so
+        // only the round-trip weight is replaced by telemetry.
         report.measured = match &self.measurer {
             Some(m) => Some(m(program, &split).map_err(PlanError::Measure)?),
             None => None,
         };
         let (model, base_units) = match &report.measured {
             Some(m) => (base_model.calibrated(m), Some(m.base_units)),
-            None => (base_model.clone(), None),
+            None => (base_model.clone(), static_base),
         };
         report.predicted_cost = predict(program, &split, &model, base_units);
         report.split = split;
 
-        // 5. Budget verdict: measured overhead when available, predicted
-        //    otherwise.
+        // Budget verdict: measured overhead when available, predicted
+        // otherwise.
         report.within_budget = self.budget.map(|b| report.overhead_percent() <= b);
-        Ok(report)
+        Ok(Level { report, before })
     }
+
+    /// The security half for the level `plan()` returns: re-analyze the
+    /// (possibly hardened) split so the security and audit views describe
+    /// what actually ships, and audit it. Masking does not change any
+    /// ILP's adversary-model class — the analysis keeps grading the
+    /// underlying leak — so `weak_after` stays equal to `weak_before`;
+    /// what changes is that the weak leaks now ship masked
+    /// (`masked_after`) and the audit downgrades their warnings to
+    /// `masked_weak_ilp` notes.
+    fn finish(&self, level: Level) -> PlanReport {
+        let Level { mut report, before } = level;
+        let security = analyze_split(self.program, &report.split);
+        // Without hardening the shipped split is the unhardened one.
+        let before = before.as_ref().unwrap_or(&security);
+        report.lattice_before = before.counts_by_type();
+        report.weak_before = weak_count(before);
+        report.lattice_after = security.counts_by_type();
+        report.lattice_wire = security.counts_by_wire_type();
+        report.weak_after = weak_count(&security);
+        report.masked_after = report.weak_after.saturating_sub(security.weak_unmasked());
+        report.audit = audit_with_security(self.program, &report.split, &security);
+        report.security = security;
+        report
+    }
+}
+
+/// One assessed plan: the report with its split, prediction and verdict
+/// filled in, and the unhardened split's analysis when hardening ran.
+struct Level {
+    report: PlanReport,
+    before: Option<SecurityReport>,
 }
 
 /// Renders a plan report as the human-readable text `hps split` prints.

@@ -1526,11 +1526,9 @@ mod tests {
         let serve = thread::spawn(move || server.serve(|_, _| {}));
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let (pause_tx, pause_rx) = std::sync::mpsc::channel();
+        let pauser = handle.clone();
         let worker = thread::spawn(move || {
-            // One big batch frame: tens of milliseconds of execution, so
-            // the stop below lands while it is in flight. Built up front so
-            // the frame hits the wire immediately after the ready signal.
             let calls: Vec<PendingCall> = (0..50_000)
                 .map(|_| PendingCall {
                     component: c,
@@ -1541,15 +1539,24 @@ mod tests {
                 .collect();
             let mut chan = TcpChannel::connect_reliable(addr, quick_policy()).expect("connect");
             chan.call(c, 1, l, &[Value::Int(1)]).expect("warm-up call");
-            ready_tx.send(()).expect("signal");
+            // Hold the shard before sending the batch frame, which then
+            // waits in the shard queue; the main thread stops the server
+            // with the batch queued and releases the shard afterwards.
+            let pause = pauser.pause_shard(0).expect("pause the shard");
+            pause_tx.send(pause).expect("hand over the pause");
             let replies = chan
                 .call_batch(&calls)
                 .expect("in-flight batch survives a clean stop");
             replies.len()
         });
-        ready_rx.recv().expect("worker ready");
-        thread::sleep(Duration::from_millis(50));
+        let pause = pause_rx.recv().expect("worker paused the shard");
+        // Three enqueues reach the shard: the Hello, the warm-up call and
+        // the batch frame. Once the third is counted, the batch is queued.
+        while handle.queue_depth().count() < 3 {
+            thread::yield_now();
+        }
         handle.stop();
+        drop(pause);
         serve.join().expect("serve thread").expect("serve ok");
         assert_eq!(worker.join().expect("worker"), 50_000);
         assert_eq!(handle.stats().calls, 50_001);

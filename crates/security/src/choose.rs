@@ -98,8 +98,24 @@ impl SeedCandidate {
 /// ([`crate::optimize::default_targets`]); an empty ranking means `func`
 /// has no usable seed.
 pub fn ranked_seeds_with(program: &Program, func: FuncId, rule: SeedRule) -> Vec<SeedCandidate> {
+    rank_seeds(program, func, rule, |_| ())
+        .into_iter()
+        .map(|(c, ())| c)
+        .collect()
+}
+
+/// The ranker behind [`ranked_seeds_with`]: additionally applies `on_split`
+/// to every kept candidate's single-target split while it is scored and
+/// pairs the result with the candidate. The split is dropped right after,
+/// so at most one candidate split is alive at a time.
+pub(crate) fn rank_seeds<T>(
+    program: &Program,
+    func: FuncId,
+    rule: SeedRule,
+    mut on_split: impl FnMut(&SplitResult) -> T,
+) -> Vec<(SeedCandidate, T)> {
     let f = program.func(func);
-    let mut candidates: Vec<SeedCandidate> = Vec::new();
+    let mut candidates: Vec<(SeedCandidate, T)> = Vec::new();
     for (i, local) in f.locals.iter().enumerate() {
         let seed = LocalId::new(i);
         if f.is_param(seed) || !local.ty.is_scalar() {
@@ -127,14 +143,18 @@ pub fn ranked_seeds_with(program: &Program, func: FuncId, rule: SeedRule) -> Vec
                 inputs: crate::lattice::Inputs::none(),
                 degree: 0,
             });
-        candidates.push(SeedCandidate {
-            seed,
-            max_ac,
-            n_ilps: complexities.len(),
-        });
+        let value = on_split(&split);
+        candidates.push((
+            SeedCandidate {
+                seed,
+                max_ac,
+                n_ilps: complexities.len(),
+            },
+            value,
+        ));
     }
     // Stable sort: equal scores keep declaration order.
-    candidates.sort_by_key(|c| std::cmp::Reverse(c.score()));
+    candidates.sort_by_key(|(c, _)| std::cmp::Reverse(c.score()));
     candidates
 }
 

@@ -32,11 +32,11 @@
 //! loop. [`PlanCostModel::calibrated`] replaces the round-trip weight with
 //! the telemetry-measured cost breakdown of a real run.
 
-use crate::choose::{ranked_seeds_with, SeedCandidate, SeedRule};
+use crate::choose::{rank_seeds, ranked_seeds_with, SeedCandidate, SeedRule};
 use crate::lattice::Ac;
-use hps_core::{select_functions, split_program, SplitPlan, SplitResult, SplitTarget};
-use hps_ir::{FuncId, LocalId, Program, StmtKind};
-use std::collections::HashMap;
+use hps_core::{select_functions, split_program, SplitError, SplitPlan, SplitResult, SplitTarget};
+use hps_ir::{FuncId, Function, LocalId, Program, StmtKind};
+use std::cell::OnceCell;
 
 /// Per-operation weights for the static overhead prediction, in the same
 /// abstract units as the runtime's deterministic cost model.
@@ -186,9 +186,18 @@ fn constant_trip(loops: &hps_analysis::LoopInfo, l: hps_ir::StmtId) -> bool {
     )
 }
 
+fn has_hidden_call(func: &Function) -> bool {
+    let mut found = false;
+    hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
+        found |= matches!(stmt.kind, StmtKind::HiddenCall { .. });
+    });
+    found
+}
+
 /// Predicts the overhead of a split. `base_units` is the baseline for the
 /// percentage: pass a measured original-run cost when available, `None`
-/// for the static estimate.
+/// for the static estimate. Open functions without a hidden call add
+/// nothing and are not analyzed.
 pub fn predict(
     program: &Program,
     split: &SplitResult,
@@ -199,7 +208,7 @@ pub fn predict(
     let mut in_loop_sites = 0usize;
     let mut demand_weight = 0u64;
     let mut deferred_weight = 0u64;
-    for func in &split.open.functions {
+    for func in split.open.functions.iter().filter(|f| has_hidden_call(f)) {
         let structure = hps_analysis::StructInfo::compute(func);
         let loops = hps_analysis::LoopInfo::compute(func, &structure);
         hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
@@ -296,18 +305,23 @@ pub fn default_targets(program: &Program, rule: SeedRule) -> SplitPlan {
 /// The downgrade ladder as a reusable value: ranking, per-function
 /// position and the contribution memo survive across levels, so a caller
 /// walking levels 0, 1, 2, … (the `hps-audit` `Planner`) pays for each
-/// candidate's single-target split *once* instead of rebuilding the memo
-/// per level. [`optimize`] is the one-shot wrapper.
+/// candidate's single-target split *once* — while ranking it — and never
+/// splits a single candidate again. [`optimize`] is the one-shot wrapper.
 pub struct OptimizeLadder<'p> {
     program: &'p Program,
     rule: SeedRule,
     rule_fallback: bool,
     model: PlanCostModel,
     ranked: Vec<(FuncId, Vec<SeedCandidate>)>,
+    /// `contrib[i][rank]`: predicted extra units of ranked function `i`'s
+    /// single-target split at `rank`, computed while ranking.
+    contrib: Vec<Vec<u64>>,
     /// Current position per ranked function: `Some(rank)` or `None` once
     /// dropped from the plan.
     pos: Vec<Option<usize>>,
-    contrib_memo: HashMap<(usize, usize), u64>,
+    /// The static base estimate `outcome(None)` predicts against, computed
+    /// on first use.
+    base_estimate: OnceCell<u64>,
     dropped: Vec<String>,
     level: usize,
 }
@@ -315,24 +329,36 @@ pub struct OptimizeLadder<'p> {
 impl<'p> OptimizeLadder<'p> {
     /// Ranks every selectable function's seeds (with the cost-restricted →
     /// max-complexity fallback) and positions the ladder at level 0, the
-    /// paper pipeline's maximum-security plan.
+    /// paper pipeline's maximum-security plan. Each candidate's
+    /// contribution is predicted from the split that scored it.
     pub fn new(program: &'p Program, rule: SeedRule, model: PlanCostModel) -> OptimizeLadder<'p> {
         let selected = select_functions(program);
+        let rank_all = |rule: SeedRule| -> Vec<(FuncId, Vec<(SeedCandidate, u64)>)> {
+            selected
+                .iter()
+                .map(|&f| {
+                    let scored = rank_seeds(program, f, rule, |split| {
+                        predict(program, split, &model, Some(1)).extra_units
+                    });
+                    (f, scored)
+                })
+                .collect()
+        };
         let mut used_rule = rule;
         let mut rule_fallback = false;
-        let mut ranked: Vec<(FuncId, Vec<SeedCandidate>)> = selected
-            .iter()
-            .map(|&f| (f, ranked_seeds_with(program, f, used_rule)))
-            .collect();
-        if ranked.iter().all(|(_, c)| c.is_empty()) && used_rule == SeedRule::CostRestricted {
+        let mut scored = rank_all(used_rule);
+        if scored.iter().all(|(_, c)| c.is_empty()) && used_rule == SeedRule::CostRestricted {
             used_rule = SeedRule::MaxComplexity;
             rule_fallback = true;
-            ranked = selected
-                .iter()
-                .map(|&f| (f, ranked_seeds_with(program, f, used_rule)))
-                .collect();
+            scored = rank_all(used_rule);
         }
-        ranked.retain(|(_, c)| !c.is_empty());
+        let mut ranked = Vec::new();
+        let mut contrib = Vec::new();
+        for (f, cands) in scored.into_iter().filter(|(_, c)| !c.is_empty()) {
+            let (cands, extra) = cands.into_iter().unzip();
+            ranked.push((f, cands));
+            contrib.push(extra);
+        }
         let pos = vec![Some(0); ranked.len()];
         OptimizeLadder {
             program,
@@ -340,8 +366,9 @@ impl<'p> OptimizeLadder<'p> {
             rule_fallback,
             model,
             ranked,
+            contrib,
             pos,
-            contrib_memo: HashMap::new(),
+            base_estimate: OnceCell::new(),
             dropped: Vec::new(),
             level: 0,
         }
@@ -352,25 +379,6 @@ impl<'p> OptimizeLadder<'p> {
         self.level
     }
 
-    /// Predicted extra units of one function's single-target split at the
-    /// given rank, memoized for the ladder's lifetime.
-    fn contribution(&mut self, i: usize, rank: usize) -> u64 {
-        if let Some(&c) = self.contrib_memo.get(&(i, rank)) {
-            return c;
-        }
-        let (func, cands) = &self.ranked[i];
-        let plan = SplitPlan::from_targets(vec![SplitTarget::Function {
-            func: *func,
-            seed: cands[rank].seed,
-        }]);
-        let extra = match split_program(self.program, &plan) {
-            Ok(split) => predict(self.program, &split, &self.model, Some(1)).extra_units,
-            Err(_) => u64::MAX,
-        };
-        self.contrib_memo.insert((i, rank), extra);
-        extra
-    }
-
     /// Applies one downgrade move: the most expensive still-planned
     /// function (ties: lowest function index) steps to its next-ranked
     /// seed, or is dropped once its candidates are exhausted. Returns
@@ -379,7 +387,7 @@ impl<'p> OptimizeLadder<'p> {
         let mut worst: Option<(u64, usize)> = None;
         for i in 0..self.pos.len() {
             let Some(rank) = self.pos[i] else { continue };
-            let c = self.contribution(i, rank);
+            let c = self.contrib[i][rank];
             if worst.map(|(w, _)| c > w).unwrap_or(true) {
                 worst = Some((c, i));
             }
@@ -399,6 +407,17 @@ impl<'p> OptimizeLadder<'p> {
 
     /// The plan, choices and prediction at the ladder's current level.
     pub fn outcome(&self, base_units: Option<u64>) -> OptimizeOutcome {
+        self.outcome_and_split(base_units).0
+    }
+
+    /// [`OptimizeLadder::outcome`] together with the split of its plan that
+    /// the prediction was made on (or the split error, in which case the
+    /// prediction is the default), so a caller that goes on to work with
+    /// the split does not split the program again.
+    pub fn outcome_and_split(
+        &self,
+        base_units: Option<u64>,
+    ) -> (OptimizeOutcome, Result<SplitResult, SplitError>) {
         let mut targets = Vec::new();
         let mut choices = Vec::new();
         for (i, p) in self.pos.iter().enumerate() {
@@ -421,11 +440,19 @@ impl<'p> OptimizeLadder<'p> {
             });
         }
         let plan = SplitPlan::from_targets(targets);
-        let predicted = match split_program(self.program, &plan) {
-            Ok(split) => predict(self.program, &split, &self.model, base_units),
+        let split = split_program(self.program, &plan);
+        let predicted = match &split {
+            Ok(split) => {
+                let base = base_units.unwrap_or_else(|| {
+                    *self
+                        .base_estimate
+                        .get_or_init(|| estimate_base_units(self.program, &self.model))
+                });
+                predict(self.program, split, &self.model, Some(base))
+            }
             Err(_) => PredictedCost::default(),
         };
-        OptimizeOutcome {
+        let outcome = OptimizeOutcome {
             plan,
             choices,
             dropped: self.dropped.clone(),
@@ -434,7 +461,8 @@ impl<'p> OptimizeLadder<'p> {
             predicted,
             more_moves: self.pos.iter().any(|p| p.is_some()),
             level: self.level,
-        }
+        };
+        (outcome, split)
     }
 }
 
@@ -579,10 +607,63 @@ mod tests {
         let mut ladder = OptimizeLadder::new(&p, SeedRule::CostRestricted, model.clone());
         for level in 0..6 {
             let one_shot = optimize(&p, SeedRule::CostRestricted, &model, level, None);
-            assert_eq!(ladder.outcome(None), one_shot, "level {level}");
+            let (outcome, split) = ladder.outcome_and_split(None);
+            assert_eq!(outcome, one_shot, "level {level}");
+            let split = split.expect("ladder plans split");
+            let fresh = split_program(&p, &outcome.plan).unwrap();
+            assert_eq!(split.open, fresh.open, "level {level}");
+            assert_eq!(split.hidden, fresh.hidden, "level {level}");
             if !ladder.descend() {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn contribution_memo_matches_fresh_single_target_splits() {
+        // `h` has several seeds, and under the unrestricted rule some of
+        // their splits call the hidden side from inside the loop, so the
+        // contributions differ by rank.
+        const LOOPY: &str = "
+            fn h(n: int, b: int[]) -> int {
+                var acc: int = 0;
+                var i: int = 0;
+                var k: int = n * 3;
+                while (i < n) {
+                    acc = acc + i * k;
+                    b[i] = acc;
+                    i = i + 1;
+                }
+                var z: int = acc + k;
+                return z;
+            }
+            fn main() { var b: int[] = new int[64]; print(h(10, b)); }";
+        let model = PlanCostModel::default();
+        let mut deeper_ranks = 0;
+        for src in [SRC, LOOPY] {
+            let p = hps_lang::parse(src).unwrap();
+            for rule in [SeedRule::CostRestricted, SeedRule::MaxComplexity] {
+                let ladder = OptimizeLadder::new(&p, rule, model.clone());
+                assert_eq!(ladder.contrib.len(), ladder.ranked.len());
+                for (i, (func, cands)) in ladder.ranked.iter().enumerate() {
+                    assert_eq!(*cands, ranked_seeds_with(&p, *func, ladder.rule));
+                    assert_eq!(ladder.contrib[i].len(), cands.len());
+                    for (rank, c) in cands.iter().enumerate() {
+                        let plan = SplitPlan::from_targets(vec![SplitTarget::Function {
+                            func: *func,
+                            seed: c.seed,
+                        }]);
+                        let split = split_program(&p, &plan).unwrap();
+                        let fresh = predict(&p, &split, &model, Some(1)).extra_units;
+                        assert_eq!(ladder.contrib[i][rank], fresh, "{rule:?} ({i}, {rank})");
+                        deeper_ranks += usize::from(rank > 0);
+                    }
+                }
+            }
+        }
+        assert!(
+            deeper_ranks > 0,
+            "some function has more than one candidate"
+        );
     }
 }
