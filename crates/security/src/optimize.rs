@@ -36,7 +36,6 @@ use crate::choose::{rank_seeds, ranked_seeds_with, SeedCandidate, SeedRule};
 use crate::lattice::Ac;
 use hps_core::{select_functions, split_program, SplitError, SplitPlan, SplitResult, SplitTarget};
 use hps_ir::{FuncId, Function, LocalId, Program, StmtKind};
-use std::cell::OnceCell;
 
 /// Per-operation weights for the static overhead prediction, in the same
 /// abstract units as the runtime's deterministic cost model.
@@ -319,9 +318,8 @@ pub struct OptimizeLadder<'p> {
     /// Current position per ranked function: `Some(rank)` or `None` once
     /// dropped from the plan.
     pos: Vec<Option<usize>>,
-    /// The static base estimate `outcome(None)` predicts against, computed
-    /// on first use.
-    base_estimate: OnceCell<u64>,
+    /// The static base estimate `outcome(None)` predicts against.
+    base_estimate: u64,
     dropped: Vec<String>,
     level: usize,
 }
@@ -360,6 +358,7 @@ impl<'p> OptimizeLadder<'p> {
             contrib.push(extra);
         }
         let pos = vec![Some(0); ranked.len()];
+        let base_estimate = estimate_base_units(program, &model);
         OptimizeLadder {
             program,
             rule: used_rule,
@@ -368,7 +367,7 @@ impl<'p> OptimizeLadder<'p> {
             ranked,
             contrib,
             pos,
-            base_estimate: OnceCell::new(),
+            base_estimate,
             dropped: Vec::new(),
             level: 0,
         }
@@ -442,14 +441,12 @@ impl<'p> OptimizeLadder<'p> {
         let plan = SplitPlan::from_targets(targets);
         let split = split_program(self.program, &plan);
         let predicted = match &split {
-            Ok(split) => {
-                let base = base_units.unwrap_or_else(|| {
-                    *self
-                        .base_estimate
-                        .get_or_init(|| estimate_base_units(self.program, &self.model))
-                });
-                predict(self.program, split, &self.model, Some(base))
-            }
+            Ok(split) => predict(
+                self.program,
+                split,
+                &self.model,
+                Some(base_units.unwrap_or(self.base_estimate)),
+            ),
             Err(_) => PredictedCost::default(),
         };
         let outcome = OptimizeOutcome {
