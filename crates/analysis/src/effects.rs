@@ -9,9 +9,9 @@
 //!
 //! * [`Effect::Pure`] — the result depends only on the call's arguments and
 //!   constants: no hidden state is read or written and no trap can fire.
-//!   Pure fragments are the runtime's memoization candidates: re-executing
-//!   them with the same arguments provably yields the same value, the same
-//!   cost units and the same persistent state (none).
+//!   Re-executing a pure fragment with the same arguments provably yields
+//!   the same value, the same cost units and the same persistent state
+//!   (none).
 //! * [`Effect::ReadsHidden`] — hidden state flows (by data or control
 //!   dependence) into the result, but is never modified.
 //! * [`Effect::WritesHidden`] — persistent hidden state may be modified.
@@ -37,10 +37,8 @@
 //!   fixpoint over the [`CallGraph`] — recursion converges because the
 //!   lattice is finite and `join` only moves up.
 //!
-//! Type mismatches are treated optimistically (the splitter only emits
-//! well-typed fragments); this cannot compromise memoization soundness
-//! because the runtime caches *successful* outcomes only — an execution
-//! that traps is never served from the memo table.
+//! Type mismatches are treated optimistically: the splitter only emits
+//! well-typed fragments.
 
 use crate::callgraph::CallGraph;
 use crate::modref::ModRef;
@@ -84,7 +82,9 @@ impl Effect {
         }
     }
 
-    /// Whether the runtime may serve this fragment from a memo table.
+    /// Whether repeated calls with the same arguments provably give the
+    /// same outcome (only [`Effect::Pure`]); reported as `memoizable` in
+    /// effect reports.
     pub fn is_memoizable(self) -> bool {
         self == Effect::Pure
     }

@@ -115,8 +115,8 @@ pub struct SplitResult {
     /// What the deferrable-call pass marked (round-trip coalescing).
     pub defer: DeferStats,
     /// Per-fragment effect summaries (`hps-analysis::effects`): which
-    /// fragments are provably pure (memoizable by the runtime), which read
-    /// or write hidden state, and which may trap.
+    /// fragments are provably pure (a function of their arguments), which
+    /// read or write hidden state, and which may trap.
     pub effects: FragmentEffects,
 }
 
@@ -126,7 +126,8 @@ impl SplitResult {
         self.reports.iter().map(|r| r.ilps.len()).sum()
     }
 
-    /// Number of fragments the effect analysis proves pure (memoizable).
+    /// Number of fragments the effect analysis proves pure (the
+    /// `memoizable` count of effect reports).
     pub fn memoizable_fragments(&self) -> usize {
         self.effects.count(Effect::Pure)
     }

@@ -97,7 +97,6 @@ pub mod fault;
 pub mod fragment;
 pub mod interp;
 pub mod journal;
-pub mod memo;
 mod ops;
 pub mod server;
 pub mod shard;
@@ -121,7 +120,6 @@ pub use interp::{
     run_function, run_program, ExecConfig, ExecReport, Executor, Interp, Outcome, SplitMeta,
 };
 pub use journal::{JournalOp, SessionJournal};
-pub use memo::MemoTable;
 pub use server::{ReplayCache, SecureServer, SeqCheck};
 pub use shard::{ShardPause, ShardStats};
 pub use tcp::{ChaosConfig, RetryPolicy, ServerStats, SessionServer, SessionServerHandle};

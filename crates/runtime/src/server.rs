@@ -9,7 +9,6 @@ use crate::bytecode::{run_compiled, VmCache};
 use crate::cost::CostModel;
 use crate::error::RuntimeError;
 use crate::fragment::FragOutcome;
-use crate::memo::{memo_enabled_by_default, MemoTable};
 use crate::value::RtValue;
 use hps_ir::{ComponentId, FragLabel, HiddenProgram, Value};
 use hps_telemetry::{Event, RecorderHandle};
@@ -143,23 +142,13 @@ pub struct SecureServer {
     /// VM. Shardable: the cache may be shared with other servers of the
     /// same hidden program via [`SecureServer::with_vm_cache`].
     vm: Arc<VmCache>,
-    /// Content-addressed cache of pure-fragment outcomes; `None` always
-    /// executes. Shardable like the VM cache
-    /// ([`SecureServer::with_memo_table`]). Hits replay the cached cost and
-    /// fire the same events as an execution — see [`crate::memo`].
-    memo: Option<Arc<MemoTable>>,
 }
 
 impl SecureServer {
     /// Creates a server installing the given hidden program, with a fresh
     /// compile-once bytecode cache.
-    ///
-    /// Pure-fragment memoization is on by default; set
-    /// `HPS_FRAGMENT_MEMO=0` or call [`SecureServer::with_fragment_memo`]
-    /// to always execute.
     pub fn new(hidden: HiddenProgram) -> SecureServer {
         let vm = Arc::new(VmCache::for_program(&hidden));
-        let memo = memo_enabled_by_default().then(|| Arc::new(MemoTable::for_program(&hidden)));
         SecureServer {
             hidden,
             cost_model: CostModel::new(),
@@ -168,7 +157,6 @@ impl SecureServer {
             cost_spent: 0,
             recorder: RecorderHandle::none(),
             vm,
-            memo,
         }
     }
 
@@ -187,22 +175,6 @@ impl SecureServer {
     /// [`RuntimeError::UnknownFragment`].
     pub fn with_vm_cache(mut self, cache: Arc<VmCache>) -> SecureServer {
         self.vm = cache;
-        self
-    }
-
-    /// Enables or disables pure-fragment memoization (builder style).
-    /// Enabling creates a fresh empty memo table for this server's program.
-    pub fn with_fragment_memo(mut self, enabled: bool) -> SecureServer {
-        self.memo = enabled.then(|| Arc::new(MemoTable::for_program(&self.hidden)));
-        self
-    }
-
-    /// Shares an existing memo table (builder style) — the shard pool hands
-    /// every session of a shard the same table so repeated pure calls hit
-    /// across sessions and executor respawns. The table must have been
-    /// built for this server's hidden program and cost model.
-    pub fn with_memo_table(mut self, table: Arc<MemoTable>) -> SecureServer {
-        self.memo = Some(table);
         self
     }
 
@@ -248,19 +220,6 @@ impl SecureServer {
                 })
                 .collect()
         });
-        // Memo lookup comes *after* the state entry is created so a hit
-        // leaves activation lifecycles (and release semantics) exactly as
-        // an execution would. A hit replays the cached cost and fires the
-        // same `Fragment` event: adversary-invisible by construction.
-        if let Some(memo) = &self.memo {
-            if let Some((value, cost)) = memo.lookup(component.index(), position, args) {
-                self.calls_served += 1;
-                self.cost_spent += cost;
-                self.recorder.record(Event::Fragment { cost });
-                self.recorder.record(Event::MemoHit);
-                return Ok(FragOutcome { value, cost });
-            }
-        }
         let (code, fresh) = self
             .vm
             .get_or_compile(
@@ -280,24 +239,6 @@ impl SecureServer {
         self.calls_served += 1;
         self.cost_spent += outcome.cost;
         self.recorder.record(Event::Fragment { cost: outcome.cost });
-        // Only *successful* outcomes are cached (errors returned above
-        // always re-execute), and only lattice-pure fragments are accepted
-        // by the table. Misses count every successful execution so
-        // `memo_hits + memo_misses == fragments_total` reconciles.
-        if let Some(memo) = &self.memo {
-            let evicted = memo.insert(
-                component.index(),
-                position,
-                args,
-                outcome.value,
-                outcome.cost,
-            );
-            memo.record_miss();
-            self.recorder.record(Event::MemoMiss);
-            for _ in 0..evicted {
-                self.recorder.record(Event::MemoEviction);
-            }
-        }
         Ok(outcome)
     }
 
@@ -357,27 +298,6 @@ impl SecureServer {
     /// Wall-clock nanoseconds this server's cache spent lowering fragments.
     pub fn vm_compile_nanos(&self) -> u64 {
         self.vm.compile_nanos()
-    }
-
-    /// True when pure-fragment memoization is enabled.
-    pub fn fragment_memo_enabled(&self) -> bool {
-        self.memo.is_some()
-    }
-
-    /// Fragment calls answered from the memo table (shared tables report
-    /// the shared totals).
-    pub fn memo_hits(&self) -> u64 {
-        self.memo.as_ref().map_or(0, |m| m.hits())
-    }
-
-    /// Successful fragment executions that missed the memo table.
-    pub fn memo_misses(&self) -> u64 {
-        self.memo.as_ref().map_or(0, |m| m.misses())
-    }
-
-    /// Memoized results evicted by the table's capacity bound.
-    pub fn memo_evictions(&self) -> u64 {
-        self.memo.as_ref().map_or(0, |m| m.evictions())
     }
 
     /// Read-only view of the installed hidden program.
@@ -530,90 +450,6 @@ mod tests {
             server.call(ComponentId::new(0), 1, FragLabel::new(0), &[Value::Int(1)]),
             Err(RuntimeError::UnknownFragment { .. })
         ));
-    }
-
-    /// One component, no hidden vars; L0(p): pure `ret p * p + p`.
-    fn pure_program() -> HiddenProgram {
-        let mut hp = HiddenProgram::new();
-        hp.add(HiddenComponent {
-            id: ComponentId::new(0),
-            kind: ComponentKind::Function {
-                func_name: "f".into(),
-            },
-            vars: vec![],
-            fragments: vec![Fragment {
-                label: FragLabel::new(0),
-                params: vec![("p".into(), Ty::Int)],
-                body: Block::of(vec![]),
-                ret: Some(Expr::binary(
-                    BinOp::Add,
-                    Expr::binary(
-                        BinOp::Mul,
-                        Expr::local(LocalId::new(0)),
-                        Expr::local(LocalId::new(0)),
-                    ),
-                    Expr::local(LocalId::new(0)),
-                )),
-            }],
-        });
-        hp
-    }
-
-    #[test]
-    fn memo_hits_repeat_pure_calls_with_identical_metering() {
-        let mut on = SecureServer::new(pure_program()).with_fragment_memo(true);
-        let mut off = SecureServer::new(pure_program()).with_fragment_memo(false);
-        assert!(on.fragment_memo_enabled());
-        assert!(!off.fragment_memo_enabled());
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
-        // 2 distinct arguments × 3 repeats each.
-        for _ in 0..3 {
-            for a in [4, 9] {
-                let x = on.call(c, 1, l, &[Value::Int(a)]).unwrap();
-                let y = off.call(c, 1, l, &[Value::Int(a)]).unwrap();
-                assert_eq!(x, y, "memo hit must replay value AND cost");
-            }
-        }
-        assert_eq!(on.calls_served(), off.calls_served());
-        assert_eq!(on.cost_spent(), off.cost_spent());
-        assert_eq!(on.live_activations(), off.live_activations());
-        assert_eq!((on.memo_hits(), on.memo_misses()), (4, 2));
-        assert_eq!(on.memo_hits() + on.memo_misses(), on.calls_served());
-        assert_eq!(off.memo_hits() + off.memo_misses(), 0);
-    }
-
-    #[test]
-    fn stateful_fragments_are_never_memoized() {
-        // counter_program reads+writes its hidden var: repeated args must
-        // re-execute and keep advancing state.
-        let mut server = SecureServer::new(counter_program()).with_fragment_memo(true);
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
-        assert_eq!(
-            server.call(c, 1, l, &[Value::Int(5)]).unwrap().value,
-            Value::Int(5)
-        );
-        assert_eq!(
-            server.call(c, 1, l, &[Value::Int(5)]).unwrap().value,
-            Value::Int(10)
-        );
-        assert_eq!(server.memo_hits(), 0);
-        assert_eq!(server.memo_misses(), 2, "all executions count as misses");
-    }
-
-    #[test]
-    fn shared_memo_table_hits_across_servers() {
-        let hidden = pure_program();
-        let table = Arc::new(crate::memo::MemoTable::for_program(&hidden));
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
-        let mut a = SecureServer::new(hidden.clone()).with_memo_table(Arc::clone(&table));
-        let mut b = SecureServer::new(hidden).with_memo_table(Arc::clone(&table));
-        let x = a.call(c, 1, l, &[Value::Int(7)]).unwrap();
-        let y = b.call(c, 2, l, &[Value::Int(7)]).unwrap();
-        assert_eq!(x, y);
-        assert_eq!((table.hits(), table.misses()), (1, 1));
     }
 
     #[test]

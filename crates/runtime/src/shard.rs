@@ -48,7 +48,6 @@ use crate::bytecode::VmCache;
 use crate::channel::{CallReply, PendingCall};
 use crate::fault::CrashConfig;
 use crate::journal::{journal_path, load_disk_journal, DiskJournal, JournalOp, SessionJournal};
-use crate::memo::MemoTable;
 use crate::server::{ReplayCache, SecureServer, SeqCheck};
 use crate::wire::Response;
 use hps_ir::{ComponentId, HiddenProgram};
@@ -131,9 +130,8 @@ impl StatsInner {
                 max_queue_depth: c.max_depth.load(Ordering::Relaxed),
                 vm_compiles: c.vm.compiles(),
                 vm_cache_hits: c.vm.cache_hits(),
-                memo_hits: c.memo.as_ref().map_or(0, |m| m.hits()),
-                memo_misses: c.memo.as_ref().map_or(0, |m| m.misses()),
-                memo_evictions: c.memo.as_ref().map_or(0, |m| m.evictions()),
+                memo_hits: 0,
+                memo_misses: 0,
                 compile_nanos: c.vm.compile_nanos(),
                 exec_nanos: c.exec_nanos.load(Ordering::Relaxed),
                 restarts: c.restarts.load(Ordering::Relaxed),
@@ -159,11 +157,6 @@ pub(crate) struct ShardCounters {
     /// the shard compiles into — and hits — this cache. `Send + Sync`
     /// atomics only, so it survives executor respawns.
     vm: Arc<VmCache>,
-    /// The shard's shared pure-fragment memo table (`None` = memoization
-    /// off). Shared by every session of the shard — memoizable fragments
-    /// read no hidden state, so a cached result is valid across sessions —
-    /// and, like the VM cache, it survives executor respawns.
-    memo: Option<Arc<MemoTable>>,
 }
 
 /// Snapshot of one shard executor's counters.
@@ -185,14 +178,12 @@ pub struct ShardStats {
     pub vm_compiles: u64,
     /// Fragment executions this shard served from compiled bytecode.
     pub vm_cache_hits: u64,
-    /// Pure-fragment calls this shard answered from its memo table
-    /// (0 when memoization is disabled).
+    /// Always 0; kept only because `perfbench/` reads it; delete with the
+    /// next benchmark change.
     pub memo_hits: u64,
-    /// Fragment executions that ran in full and were considered for the
-    /// memo table (memoizable or not).
+    /// Always 0; kept only because `perfbench/` reads it; delete with the
+    /// next benchmark change.
     pub memo_misses: u64,
-    /// Memo entries evicted by the table's FIFO capacity bound.
-    pub memo_evictions: u64,
     /// Wall-clock nanoseconds spent compiling fragments on this shard.
     /// Wall-clock fields feed load attribution (`BENCH_*.json`) only —
     /// they never enter deterministic metrics snapshots.
@@ -345,8 +336,6 @@ pub(crate) struct ShardConfig {
     pub(crate) shards: usize,
     pub(crate) queue_capacity: usize,
     pub(crate) replay_capacity: usize,
-    /// Memoize provably-pure fragments in a per-shard [`MemoTable`].
-    pub(crate) fragment_memo: bool,
     /// Per-session cap on the in-memory journal ring.
     pub(crate) journal_limit: usize,
     /// Directory for checksummed on-disk journals (`--journal-dir`);
@@ -362,7 +351,6 @@ impl Default for ShardConfig {
             shards: 1,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             replay_capacity: DEFAULT_REPLAY_CAPACITY,
-            fragment_memo: true,
             journal_limit: crate::journal::DEFAULT_JOURNAL_LIMIT,
             journal_dir: None,
             crash: None,
@@ -429,9 +417,6 @@ impl ShardPool {
                 exec_nanos: AtomicU64::new(0),
                 restarts: AtomicU64::new(0),
                 vm: Arc::new(VmCache::for_program(hidden)),
-                memo: config
-                    .fragment_memo
-                    .then(|| Arc::new(MemoTable::for_program(hidden))),
             });
             let ctx = ShardContext {
                 shard,
@@ -911,10 +896,6 @@ fn open_session<'a>(
 /// sharing it is safe and each fragment lowers at most once per shard.
 fn fresh_state(session: u64, ctx: &ShardContext) -> SessionState {
     let server = SecureServer::new(ctx.hidden.clone()).with_vm_cache(Arc::clone(&ctx.counters.vm));
-    let server = match &ctx.counters.memo {
-        Some(memo) => server.with_memo_table(Arc::clone(memo)),
-        None => server.with_fragment_memo(false),
-    };
     let disk = ctx
         .journal_dir
         .as_deref()

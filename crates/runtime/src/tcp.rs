@@ -639,14 +639,9 @@ pub struct ServerStats {
     pub vm_compiles: u64,
     /// Fragment executions served from already-compiled bytecode.
     pub vm_cache_hits: u64,
-    /// Pure-fragment calls answered from the shards' memo tables without
-    /// running the fragment (0 with memo off).
+    /// Always 0; kept only because `perfbench/` reads it; delete with the
+    /// next benchmark change.
     pub memo_hits: u64,
-    /// Fragment executions that ran in full and were considered for
-    /// memoization (memoizable or not).
-    pub memo_misses: u64,
-    /// Memo entries evicted by the tables' FIFO capacity bounds.
-    pub memo_evictions: u64,
     /// Fragment panics caught by per-request `catch_unwind` (injected and
     /// genuine alike); each poisons at most one session, never a shard.
     pub panics_caught: u64,
@@ -669,9 +664,6 @@ impl ServerStats {
         m.add(names::SERVER_CHAOS_KILLS, self.chaos_kills);
         m.add(names::SERVER_VM_COMPILES, self.vm_compiles);
         m.add(names::SERVER_VM_CACHE_HITS, self.vm_cache_hits);
-        m.add(names::SERVER_MEMO_HITS, self.memo_hits);
-        m.add(names::SERVER_MEMO_MISSES, self.memo_misses);
-        m.add(names::SERVER_MEMO_EVICTIONS, self.memo_evictions);
         m.add(names::SERVER_PANICS_CAUGHT, self.panics_caught);
         m.add(names::SERVER_SHARD_RESTARTS, self.shard_restarts);
         m.add(names::SERVER_JOURNAL_REPLAYS, self.journal_replays);
@@ -705,9 +697,7 @@ impl SessionServerHandle {
             chaos_kills: self.stats.chaos_kills.load(Ordering::Relaxed),
             vm_compiles: shards.iter().map(|s| s.vm_compiles).sum(),
             vm_cache_hits: shards.iter().map(|s| s.vm_cache_hits).sum(),
-            memo_hits: shards.iter().map(|s| s.memo_hits).sum(),
-            memo_misses: shards.iter().map(|s| s.memo_misses).sum(),
-            memo_evictions: shards.iter().map(|s| s.memo_evictions).sum(),
+            memo_hits: 0,
             panics_caught: self.stats.panics_caught.load(Ordering::Relaxed),
             shard_restarts: self.stats.shard_restarts.load(Ordering::Relaxed),
             journal_replays: self.stats.journal_replays.load(Ordering::Relaxed),
@@ -764,13 +754,18 @@ impl SessionServerHandle {
         self.stats.queue_depth_histogram()
     }
 
-    /// Full telemetry snapshot: the `hps_server_*` counters plus the
-    /// `hps_server_shard_queue_depth` histogram. Virtual cost is summed
-    /// across the shard executors.
+    /// Full telemetry snapshot: the `hps_server_*` counters, the fragments
+    /// executed (`hps_fragments_total`) plus the
+    /// `hps_server_shard_queue_depth` histogram. Virtual cost and fragments
+    /// are summed across the shard executors.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut m = self.stats().to_metrics();
-        let cost: u64 = self.shard_stats().iter().map(|s| s.cost_units).sum();
-        m.add(names::SERVER_COST_UNITS, cost);
+        let shards = self.shard_stats();
+        m.add(
+            names::SERVER_COST_UNITS,
+            shards.iter().map(|s| s.cost_units).sum(),
+        );
+        m.add(names::FRAGMENTS, shards.iter().map(|s| s.fragments).sum());
         m.merge_histogram(names::SERVER_SHARD_QUEUE_DEPTH, &self.queue_depth());
         // Recovery latency is wall-clock (like the ShardStats nanos
         // fields): live-scrape only, never part of deterministic
@@ -802,7 +797,6 @@ pub struct SessionServer {
     shards: usize,
     queue_capacity: usize,
     replay_capacity: usize,
-    fragment_memo: bool,
     journal_limit: usize,
     journal_dir: Option<PathBuf>,
     crash: Option<CrashConfig>,
@@ -831,7 +825,6 @@ impl SessionServer {
             shards: 1,
             queue_capacity: crate::shard::DEFAULT_QUEUE_CAPACITY,
             replay_capacity: crate::shard::DEFAULT_REPLAY_CAPACITY,
-            fragment_memo: crate::memo::memo_enabled_by_default(),
             journal_limit: crate::journal::DEFAULT_JOURNAL_LIMIT,
             journal_dir: None,
             crash: None,
@@ -862,16 +855,6 @@ impl SessionServer {
     /// the chaos-recovery CI matrix.
     pub fn with_crash(mut self, crash: CrashConfig) -> SessionServer {
         self.crash = Some(crash);
-        self
-    }
-
-    /// Enables or disables pure-fragment memoization (builder style;
-    /// defaults to on unless `HPS_FRAGMENT_MEMO=0`). Either mode serves
-    /// byte-identical responses with identical metering; with memo on,
-    /// each shard keeps one content-addressed table shared across its
-    /// sessions.
-    pub fn with_fragment_memo(mut self, enabled: bool) -> SessionServer {
-        self.fragment_memo = enabled;
         self
     }
 
@@ -957,7 +940,6 @@ impl SessionServer {
                 shards: self.shards,
                 queue_capacity: self.queue_capacity,
                 replay_capacity: self.replay_capacity,
-                fragment_memo: self.fragment_memo,
                 journal_limit: self.journal_limit,
                 journal_dir: self.journal_dir.clone(),
                 crash: self.crash,

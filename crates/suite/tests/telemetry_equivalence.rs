@@ -7,10 +7,13 @@
 use std::rc::Rc;
 
 use hps_core::{split_program, SplitPlan};
+use hps_runtime::tcp::TcpChannel;
+use hps_runtime::telemetry::metrics::names;
 use hps_runtime::{
     Channel, ExecConfig, Executor, InProcessChannel, Interp, MetricsRecorder, RecorderHandle,
-    SecureServer, SplitMeta, Trace, TraceChannel,
+    RetryPolicy, SecureServer, SessionServer, SplitMeta, Trace, TraceChannel,
 };
+use std::time::Duration;
 
 fn paper_plan(program: &hps_ir::Program) -> SplitPlan {
     hps_security::default_targets(program, hps_security::SeedRule::CostRestricted)
@@ -102,7 +105,6 @@ fn adversary_trace_is_identical_with_recorder_attached() {
         assert_eq!(plain_inter, rec_inter, "{}: interactions diverged", b.name);
 
         // And the recorder saw the same world the wiretap did.
-        use hps_runtime::telemetry::metrics::names;
         let m = recorder.snapshot();
         assert_eq!(
             m.counter(names::TRACE_EVENTS),
@@ -114,6 +116,72 @@ fn adversary_trace_is_identical_with_recorder_attached() {
             m.counter(names::INTERACTIONS),
             plain_inter,
             "{}: interaction counter drifted from the channel",
+            b.name
+        );
+    }
+}
+
+/// Every executed fragment is either lowered or served from compiled
+/// bytecode, so `vm_compiles + vm_cache_hits == fragments` — in process
+/// (recorder snapshot) and live (per-shard stats and the server's metrics
+/// scrape, with sessions spread over two shards).
+#[test]
+fn engine_counters_reconcile_with_fragments_in_process_and_live() {
+    for b in hps_suite::benchmarks() {
+        let program = b.program().expect("parses");
+        let split = split_program(&program, &paper_plan(&program)).expect("splits");
+
+        let report = Executor::new(&split.open, &split.hidden)
+            .recorder(MetricsRecorder::new())
+            .run(&[b.workload(200, 5)])
+            .expect("in-process run");
+        let m = &report.telemetry;
+        let fragments = m.counter(names::FRAGMENTS);
+        assert!(fragments > 0, "{}: no fragments ran", b.name);
+        assert_eq!(
+            m.counter(names::SERVER_VM_COMPILES) + m.counter(names::SERVER_VM_CACHE_HITS),
+            fragments,
+            "{}: in-process engine counters drifted from fragments",
+            b.name
+        );
+
+        let server = SessionServer::bind("127.0.0.1:0", split.hidden.clone())
+            .expect("bind")
+            .with_shards(2);
+        let handle = server.handle().expect("handle");
+        let serve = std::thread::spawn(move || server.serve(|_, _| {}));
+        let meta = SplitMeta::derive(&split.open, &split.hidden);
+        for session in 1..=2 {
+            let policy = RetryPolicy::new().with_base_backoff(Duration::from_millis(1));
+            let mut chan =
+                TcpChannel::connect_reliable_with_session(handle.addr(), policy, session)
+                    .expect("connect");
+            Interp::new(&split.open, ExecConfig::new())
+                .with_channel(&mut chan, &meta)
+                .run("main", &[b.workload(200, 5)])
+                .expect("live run");
+            chan.shutdown().expect("shutdown");
+        }
+        handle.stop();
+        serve.join().expect("serve thread").expect("serve ok");
+
+        let shards = handle.shard_stats();
+        let engine: u64 = shards.iter().map(|s| s.vm_compiles + s.vm_cache_hits).sum();
+        let live: u64 = shards.iter().map(|s| s.fragments).sum();
+        assert!(
+            shards.iter().all(|s| s.fragments > 0),
+            "{}: both shards must serve a session",
+            b.name
+        );
+        assert_eq!(
+            engine, live,
+            "{}: live engine counters drifted from fragments",
+            b.name
+        );
+        assert_eq!(
+            handle.metrics().counter(names::FRAGMENTS),
+            live,
+            "{}: scraped hps_fragments_total drifted from the shards",
             b.name
         );
     }

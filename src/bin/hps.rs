@@ -1,7 +1,7 @@
 //! `hps` — command-line front end for slice-based software splitting.
 //!
 //! ```text
-//! hps run <file.ml> [--split] [--batch] [--no-memo] [--metrics-json] [selection] [ints...]
+//! hps run <file.ml> [--split] [--batch] [--metrics-json] [selection] [ints...]
 //!                                             run a MiniLang program; --split runs
 //!                                             the open/hidden pair, --metrics-json
 //!                                             emits the hps-telemetry/v1 snapshot
@@ -15,7 +15,7 @@
 //! hps audit <file.ml> [selection] [--json|--sarif|--effects]
 //!                                             split-soundness audit (non-zero exit on deny);
 //!                                             --effects prints the fragment purity report
-//! hps serve <file.ml> <addr> [selection] [--shards N] [--no-memo] [--chaos SEED]
+//! hps serve <file.ml> <addr> [selection] [--shards N] [--chaos SEED]
 //!                            [--metrics ADDR] [--journal-dir DIR]
 //!                                             host the hidden component on TCP;
 //!                                             --shards spreads sessions over N
@@ -72,12 +72,12 @@ const HELP: &str = "\
 hps — slicing-based software splitting (CGO 2003 reproduction)
 
 USAGE:
-  hps run <file.ml> [--split] [--batch] [--no-memo] [--metrics-json] [selection flags] [ints...]
+  hps run <file.ml> [--split] [--batch] [--metrics-json] [selection flags] [ints...]
   hps split <file.ml> [--func NAME --var NAME | --auto | --global NAME | --class NAME]
             [--budget PCT[%]] [--harden] [--json] [--args ints...]
   hps analyze <file.ml> [selection flags]
   hps audit <file.ml> [selection flags] [--json | --sarif | --effects]
-  hps serve <file.ml> <addr> [selection flags] [--shards N] [--no-memo] [--chaos SEED]
+  hps serve <file.ml> <addr> [selection flags] [--shards N] [--chaos SEED]
                              [--metrics ADDR] [--journal-dir DIR]
   hps client <file.ml> <addr> [selection flags] [--batch] [--timeout MS] [--args ints...]
 
@@ -107,10 +107,8 @@ sessions over N executor threads (session_id % N) for multi-core
 throughput; `serve --metrics ADDR` exposes the live server counters and
 the shard queue-depth histogram in Prometheus text format over HTTP.
 Hidden fragments execute on a compile-once bytecode VM.
-Provably-pure fragments are memoized by argument bytes with identical
-metering; --no-memo (or HPS_FRAGMENT_MEMO=0) disables the memo table.
 `audit --effects` prints the per-fragment effect/purity report
-(hps-audit-effects/v1 JSON) the memoizer is driven by.
+(hps-audit-effects/v1 JSON).
 ";
 
 fn load(path: &str) -> Result<hps::ir::Program, String> {
@@ -195,13 +193,12 @@ fn do_split(program: &hps::ir::Program, flags: &[String]) -> Result<SplitResult,
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     const USAGE: &str =
-        "usage: hps run <file.ml> [--split] [--batch] [--no-memo] [--metrics-json] [selection flags] [ints...]";
+        "usage: hps run <file.ml> [--split] [--batch] [--metrics-json] [selection flags] [ints...]";
     let path = args.first().ok_or(USAGE)?;
     let rest = &args[1..];
     let mut split_mode = false;
     let mut batch = false;
     let mut metrics_json = false;
-    let mut no_memo = false;
     let mut selection = Vec::new();
     let mut ints = Vec::new();
     let mut i = 0;
@@ -218,10 +215,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "--metrics-json" => {
                 metrics_json = true;
                 split_mode = true;
-                i += 1;
-            }
-            "--no-memo" => {
-                no_memo = true;
                 i += 1;
             }
             flag @ ("--func" | "--var" | "--global" | "--class") => {
@@ -249,8 +242,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let program = load(path)?;
     let entry_args = int_args(&ints)?;
     if !split_mode {
-        if !selection.is_empty() || batch || no_memo {
-            return Err("selection flags, --batch and --no-memo require --split".into());
+        if !selection.is_empty() || batch {
+            return Err("selection flags and --batch require --split".into());
         }
         let out = hps::runtime::run_program(&program, &entry_args).map_err(|e| e.to_string())?;
         for line in &out.output {
@@ -264,13 +257,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let split = do_split(&program, &selection)?;
-    let mut executor = Executor::new(&split.open, &split.hidden)
+    let report = Executor::new(&split.open, &split.hidden)
         .batching(batch)
-        .recorder(MetricsRecorder::new());
-    if no_memo {
-        executor = executor.fragment_memo(false);
-    }
-    let report = executor.run(&entry_args).map_err(|e| e.to_string())?;
+        .recorder(MetricsRecorder::new())
+        .run(&entry_args)
+        .map_err(|e| e.to_string())?;
     if metrics_json {
         // The snapshot is the machine-readable product: keep stdout clean
         // for it and divert the program's own output to stderr.
@@ -486,7 +477,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    const USAGE: &str = "usage: hps serve <file.ml> <addr> [flags] [--shards N] [--no-memo] \
+    const USAGE: &str = "usage: hps serve <file.ml> <addr> [flags] [--shards N] \
                          [--chaos SEED] [--metrics ADDR] [--journal-dir DIR]";
     let path = args.first().ok_or(USAGE)?;
     let addr = args.get(1).ok_or(USAGE)?;
@@ -495,7 +486,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut metrics_addr = None;
     let mut journal_dir = None;
     let mut shards = 1usize;
-    let mut no_memo = false;
     let mut flags = Vec::new();
     let mut i = 0;
     while i < rest.len() {
@@ -520,9 +510,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .clone(),
             );
             i += 2;
-        } else if rest[i] == "--no-memo" {
-            no_memo = true;
-            i += 1;
         } else if rest[i] == "--shards" {
             shards = rest
                 .get(i + 1)
@@ -543,9 +530,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut server = SessionServer::bind(addr.as_str(), split.hidden.clone())
         .map_err(|e| e.to_string())?
         .with_shards(shards);
-    if no_memo {
-        server = server.with_fragment_memo(false);
-    }
     if let Some(dir) = journal_dir {
         std::fs::create_dir_all(&dir)
             .map_err(|e| format!("cannot create journal dir {dir}: {e}"))?;
