@@ -71,6 +71,7 @@ pub use taint::{TaintAnalysis, TaintModel};
 pub use vars::VarId;
 
 use hps_ir::{FuncId, Program};
+use std::sync::OnceLock;
 
 /// Bundle of the per-function analyses used by slicing, splitting and the
 /// security analysis.
@@ -102,11 +103,21 @@ impl FuncAnalysis {
     /// Panics if `func` is out of range or its statements have not been
     /// renumbered.
     pub fn compute(program: &Program, func: FuncId) -> FuncAnalysis {
+        FuncAnalysis::compute_with(program, func, &ModRef::compute(program))
+    }
+
+    /// [`FuncAnalysis::compute`] with the program's [`ModRef`] summary
+    /// supplied by the caller. `modref` must summarize `program`.
+    ///
+    /// # Panics
+    ///
+    /// As [`FuncAnalysis::compute`].
+    pub fn compute_with(program: &Program, func: FuncId, modref: &ModRef) -> FuncAnalysis {
         let f = program.func(func);
         let cfg = Cfg::build(f);
         let postdom = DomTree::postdominators(&cfg);
         let control = ControlDeps::compute(&cfg, &postdom);
-        let reaching = ReachingDefs::compute(program, func, &cfg);
+        let reaching = ReachingDefs::compute_with(program, func, &cfg, modref);
         let def_use = DefUse::compute(&cfg, &reaching);
         let structure = StructInfo::compute(f);
         let loops = LoopInfo::compute(f, &structure);
@@ -120,6 +131,60 @@ impl FuncAnalysis {
             structure,
             loops,
         }
+    }
+}
+
+/// Facts about one program that its analyses share: the whole-program
+/// [`ModRef`] summary, computed up front, and a [`FuncAnalysis`] per
+/// function, computed the first time it is asked for.
+///
+/// Planning asks the same questions of the *original* program for every
+/// candidate split (the security analysis grades every ILP against the
+/// original function), so one `ProgramFacts` serves a whole plan.
+///
+/// ```
+/// let program = hps_lang::parse("fn f(n: int) -> int { var s: int = n * 2; return s; }")?;
+/// let facts = hps_analysis::ProgramFacts::new(&program);
+/// let f = hps_ir::FuncId::new(0);
+/// // Computed once, then shared.
+/// assert!(std::ptr::eq(facts.func(f), facts.func(f)));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug)]
+pub struct ProgramFacts<'p> {
+    program: &'p Program,
+    modref: ModRef,
+    funcs: Vec<OnceLock<FuncAnalysis>>,
+}
+
+impl<'p> ProgramFacts<'p> {
+    /// Summarizes `program`; per-function analyses run on demand.
+    pub fn new(program: &'p Program) -> ProgramFacts<'p> {
+        ProgramFacts {
+            program,
+            modref: ModRef::compute(program),
+            funcs: program.functions.iter().map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The program these facts describe.
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
+    /// The program's global mod/ref summary.
+    pub fn modref(&self) -> &ModRef {
+        &self.modref
+    }
+
+    /// The analysis bundle of `func`, computed on first use.
+    ///
+    /// # Panics
+    ///
+    /// As [`FuncAnalysis::compute`].
+    pub fn func(&self, func: FuncId) -> &FuncAnalysis {
+        self.funcs[func.index()]
+            .get_or_init(|| FuncAnalysis::compute_with(self.program, func, &self.modref))
     }
 }
 

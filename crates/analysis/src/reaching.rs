@@ -41,10 +41,22 @@ impl ReachingDefs {
     /// Solves the reaching-definitions problem for `func`.
     ///
     /// Call effects on globals come from an interprocedural
-    /// [`ModRef`] summary computed over `program`.
+    /// [`ModRef`] summary computed over `program`. Callers solving several
+    /// functions of one program should compute the summary once and use
+    /// [`ReachingDefs::compute_with`].
     pub fn compute(program: &Program, func: FuncId, cfg: &Cfg) -> ReachingDefs {
+        ReachingDefs::compute_with(program, func, cfg, &ModRef::compute(program))
+    }
+
+    /// [`ReachingDefs::compute`] with the program's [`ModRef`] summary
+    /// supplied by the caller. `modref` must summarize `program`.
+    pub fn compute_with(
+        program: &Program,
+        func: FuncId,
+        cfg: &Cfg,
+        modref: &ModRef,
+    ) -> ReachingDefs {
         let f = program.func(func);
-        let modref = ModRef::compute(program);
         let mut call_eff = |callee: FuncId| -> (Vec<VarId>, Vec<VarId>) {
             (
                 modref

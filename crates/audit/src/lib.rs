@@ -57,6 +57,7 @@ pub use fragment::FragmentFacts;
 pub use json::Json;
 pub use planner::{plan_to_json, render_plan, Measurer, PlanError, PlanReport, Planner};
 
+use hps_analysis::ModRef;
 use hps_core::SplitResult;
 use hps_ir::Program;
 use hps_security::SecurityReport;
@@ -158,11 +159,15 @@ pub(crate) fn audit_with_security(
         .map(|f| (f.component, f.label))
         .collect();
     hidden_frags.sort();
-    let flow = flow::analyze_open_flow(&split.open, &hidden_frags, &declared);
+    // One global mod/ref summary of the open program serves the flow
+    // analysis and every lint.
+    let modref = ModRef::compute(&split.open);
+    let flow = flow::analyze_open_flow(&split.open, &modref, &hidden_frags, &declared);
 
     let (mut diagnostics, suppressed) = lints::run_all(&lints::LintInput {
         original,
         split,
+        modref: &modref,
         facts: &facts,
         flow: &flow,
         security,
@@ -296,7 +301,7 @@ mod tests {
         let label = split.hidden.components[component.index()].fragments[0].label;
         split.reports[0].ilps.clear();
 
-        let func = &mut split.open.functions[fid.index()];
+        let func = split.open.func_mut(fid);
         let tmp = func.add_temp("leak", hps_ir::Ty::Int);
         func.body.stmts.push(Stmt::new(StmtKind::HiddenCall {
             component,
@@ -325,7 +330,7 @@ mod tests {
     fn dangling_call_is_denied() {
         let (program, mut split) = split_of(LINEAR, "f", "a");
         let fid = split.reports[0].func;
-        let func = &mut split.open.functions[fid.index()];
+        let func = split.open.func_mut(fid);
         func.body.stmts.push(Stmt::new(StmtKind::HiddenCall {
             component: hps_ir::ComponentId::new(7),
             label: hps_ir::FragLabel::new(9),

@@ -14,7 +14,7 @@ use crate::diag::{self, Diagnostic};
 use crate::flow::OpenFlow;
 use crate::fragment::FragmentFacts;
 use hps_analysis::{
-    vars::stmt_effect, CallGraph, Cfg, DefUse, Effect, ReachingDefs, StructInfo, VarId,
+    vars::stmt_effect, CallGraph, Cfg, DefUse, Effect, ModRef, ReachingDefs, StructInfo, VarId,
 };
 use hps_core::SplitResult;
 use hps_ir::{ComponentId, FragLabel, FuncId, Function, Program, Stmt, StmtKind};
@@ -27,6 +27,8 @@ pub struct LintInput<'a> {
     pub original: &'a Program,
     /// The split under audit.
     pub split: &'a SplitResult,
+    /// The global mod/ref summary of the split's open program.
+    pub modref: &'a ModRef,
     /// Per-fragment hidden-dependence facts.
     pub facts: &'a HashMap<(ComponentId, FragLabel), FragmentFacts>,
     /// The interprocedural open-side flow result.
@@ -492,7 +494,7 @@ fn check_unused_leaks(input: &LintInput<'_>, sink: &mut Sink) {
             continue;
         }
         let cfg = Cfg::build(func);
-        let reaching = ReachingDefs::compute(&input.split.open, fid, &cfg);
+        let reaching = ReachingDefs::compute_with(&input.split.open, fid, &cfg, input.modref);
         let def_use = DefUse::compute(&cfg, &reaching);
         hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
             let StmtKind::HiddenCall {

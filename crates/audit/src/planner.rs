@@ -43,10 +43,11 @@
 //! once, for the level `plan()` returns.
 
 use crate::{audit_with_security, AuditReport, Severity};
+use hps_analysis::ProgramFacts;
 use hps_core::{harden_split, split_program, HardenReport, SplitError, SplitPlan, SplitResult};
 use hps_ir::{ComponentId, FragLabel, Program};
 use hps_security::{
-    analyze_split, estimate_base_units, predict, AcType, MeasuredCost, OptimizeLadder,
+    analyze_split_with, estimate_base_units, predict, AcType, MeasuredCost, OptimizeLadder,
     PlanCostModel, PredictedCost, SecurityReport, SeedChoice, SeedRule,
 };
 
@@ -311,16 +312,15 @@ impl<'p> Planner<'p> {
         let base_model = self.model.clone().unwrap_or_default();
         // Without a measurer every prediction divides by the same static
         // estimate of the original program's cost.
-        let static_base = match self.measurer {
-            Some(_) => None,
-            None => Some(estimate_base_units(self.program, &base_model)),
-        };
+        let measured = self.measurer.is_some();
 
         // Explicit targets: the plan is fixed, no ladder.
         if let Some(plan) = &self.targets {
             if plan.targets.is_empty() {
                 return Err(PlanError::NoTargets);
             }
+            let static_base = (!measured).then(|| estimate_base_units(self.program, &base_model));
+            let facts = ProgramFacts::new(self.program);
             let mut report = PlanReport {
                 budget_percent: self.budget,
                 ..PlanReport::default()
@@ -328,11 +328,14 @@ impl<'p> Planner<'p> {
             report.plan = plan.clone();
             report.rule = self.rule;
             let split = split_program(self.program, plan)?;
-            let level = self.assess(report, split, &base_model, static_base)?;
-            return Ok(self.finish(level));
+            let level = self.assess(report, split, &base_model, static_base, &facts)?;
+            return Ok(self.finish(level, &facts));
         }
 
+        // The ladder owns the original program's facts and its static base
+        // estimate; every level reads both.
         let mut ladder = OptimizeLadder::new(self.program, self.rule, base_model.clone());
+        let static_base = (!measured).then(|| ladder.base_estimate());
         loop {
             let (outcome, split) = ladder.outcome_and_split(None);
             if outcome.plan.targets.is_empty() && outcome.level == 0 {
@@ -348,10 +351,10 @@ impl<'p> Planner<'p> {
             report.dropped = outcome.dropped;
             report.rule = outcome.rule;
             report.rule_fallback = outcome.rule_fallback;
-            let level = self.assess(report, split?, &base_model, static_base)?;
+            let level = self.assess(report, split?, &base_model, static_base, ladder.facts())?;
             let over = level.report.within_budget == Some(false);
             if !over || ladder.level() + 1 >= MAX_LEVELS || !ladder.descend() {
-                return Ok(self.finish(level));
+                return Ok(self.finish(level, ladder.facts()));
             }
         }
     }
@@ -360,19 +363,20 @@ impl<'p> Planner<'p> {
     /// unhardened split (only when hardening needs its weak groups),
     /// harden, measure, predict and give the verdict. Nothing here reads
     /// the post-hardening analysis or the audit, so levels the search
-    /// moves past never compute them.
+    /// moves past never compute them. `facts` are the original program's.
     fn assess(
         &self,
         mut report: PlanReport,
         mut split: SplitResult,
         base_model: &PlanCostModel,
         static_base: Option<u64>,
+        facts: &ProgramFacts<'_>,
     ) -> Result<Level, PlanError> {
         let program = self.program;
 
         // Harden the fragments feeding weak leaks of the unhardened split.
         let before = if self.harden {
-            let before = analyze_split(program, &split);
+            let before = analyze_split_with(facts, &split);
             report.hardening = harden_split(&mut split, &weak_groups(&before));
             Some(before)
         } else {
@@ -407,9 +411,9 @@ impl<'p> Planner<'p> {
     /// what changes is that the weak leaks now ship masked
     /// (`masked_after`) and the audit downgrades their warnings to
     /// `masked_weak_ilp` notes.
-    fn finish(&self, level: Level) -> PlanReport {
+    fn finish(&self, level: Level, facts: &ProgramFacts<'_>) -> PlanReport {
         let Level { mut report, before } = level;
-        let security = analyze_split(self.program, &report.split);
+        let security = analyze_split_with(facts, &report.split);
         // Without hardening the shipped split is the unhardened one.
         let before = before.as_ref().unwrap_or(&security);
         report.lattice_before = before.counts_by_type();

@@ -35,7 +35,8 @@
 use hps_analysis::cfg::Cfg;
 use hps_analysis::reaching::{DefUse, ReachingDefs};
 use hps_analysis::vars::VarId;
-use hps_ir::{Block, Expr, Place, Program, Stmt, StmtId, StmtKind};
+use hps_analysis::ModRef;
+use hps_ir::{Block, Expr, FuncId, Function, Place, Program, Stmt, StmtId, StmtKind};
 use std::collections::HashSet;
 
 /// What the pass did to one open program.
@@ -50,6 +51,26 @@ pub struct DeferStats {
 }
 
 impl DeferStats {
+    /// The hidden calls of `func` and how many of them are already marked
+    /// deferred, without re-deriving any mark (no dead results dropped).
+    pub fn count(func: &Function) -> DeferStats {
+        let mut stats = DeferStats::default();
+        hps_ir::visit::for_each_stmt(&func.body, &mut |s| {
+            if let StmtKind::HiddenCall { deferred, .. } = &s.kind {
+                stats.total_calls += 1;
+                stats.deferred_calls += usize::from(*deferred);
+            }
+        });
+        stats
+    }
+
+    /// Adds `other`'s counts to these.
+    pub fn add(&mut self, other: DeferStats) {
+        self.total_calls += other.total_calls;
+        self.deferred_calls += other.deferred_calls;
+        self.dead_results_dropped += other.dead_results_dropped;
+    }
+
     /// Fraction of hidden-call sites that a batching runtime may coalesce.
     pub fn deferred_fraction(&self) -> f64 {
         if self.total_calls == 0 {
@@ -60,15 +81,18 @@ impl DeferStats {
     }
 }
 
-/// Marks deferrable hidden calls in a freshly split (and renumbered) open
-/// program. Returns per-program statistics.
+/// Marks deferrable hidden calls in the functions `funcs` of a freshly
+/// split (and renumbered) open program — a split's
+/// [`changed_funcs`](crate::SplitResult::changed_funcs), the only
+/// functions holding hidden calls. Returns statistics over those
+/// functions. One whole-program [`ModRef`] summary serves every function.
 ///
 /// Idempotent: re-running never un-marks a call, and already-marked calls
 /// are counted, not re-derived.
-pub fn mark_deferrable(open: &mut Program) -> DeferStats {
+pub fn mark_deferrable(open: &mut Program, funcs: &[FuncId]) -> DeferStats {
     let mut stats = DeferStats::default();
-    let fids: Vec<_> = open.iter_funcs().map(|(fid, _)| fid).collect();
-    for fid in fids {
+    let mut modref: Option<ModRef> = None;
+    for &fid in funcs {
         let func = open.func(fid);
         let mut any_hidden = false;
         hps_ir::visit::for_each_stmt(&func.body, &mut |s| {
@@ -83,7 +107,8 @@ pub fn mark_deferrable(open: &mut Program) -> DeferStats {
         // Result places never consumed anywhere: reaching definitions with
         // empty use sets (hps-analysis def-use chains).
         let cfg = Cfg::build(func);
-        let reaching = ReachingDefs::compute(open, fid, &cfg);
+        let modref = modref.get_or_insert_with(|| ModRef::compute(open));
+        let reaching = ReachingDefs::compute_with(open, fid, &cfg, modref);
         let def_use = DefUse::compute(&cfg, &reaching);
         let mut dead_results: HashSet<StmtId> = HashSet::new();
         hps_ir::visit::for_each_stmt(&func.body, &mut |s| {
@@ -342,7 +367,7 @@ mod tests {
         let plan = SplitPlan::global(&program, "g").unwrap();
         let mut split = split_program(&program, &plan).unwrap();
         let first = split.defer;
-        let again = mark_deferrable(&mut split.open);
+        let again = mark_deferrable(&mut split.open, &split.changed_funcs);
         assert_eq!(first.total_calls, again.total_calls);
         assert_eq!(first.deferred_calls, again.deferred_calls);
     }

@@ -53,8 +53,10 @@
 //! read immediately, so such calls lose their deferred mark) and the
 //! fragment effect analysis.
 
+use crate::defer::DeferStats;
 use crate::result::{HardenKind, SplitResult};
-use hps_ir::{Block, Builtin, ComponentId, Expr, FragLabel, Place, Stmt, StmtKind, Ty};
+use hps_ir::{Block, Builtin, ComponentId, Expr, FragLabel, FuncId, Place, Stmt, StmtKind, Ty};
+use std::collections::BTreeSet;
 
 /// One fragment the pass successfully hardened.
 #[derive(Clone, PartialEq, Debug)]
@@ -109,13 +111,10 @@ pub fn harden_split(split: &mut SplitResult, weak: &[(ComponentId, FragLabel)]) 
     groups.dedup();
 
     let mut report = HardenReport::default();
-    let mut mutated = false;
+    let mut rewritten = BTreeSet::new();
     for (component, label) in groups {
-        match harden_group(split, component, label) {
-            Ok(action) => {
-                mutated = true;
-                report.applied.push(action);
-            }
+        match harden_group(split, component, label, &mut rewritten) {
+            Ok(action) => report.applied.push(action),
             Err(reason) => report.skipped.push(HardenSkip {
                 component,
                 label,
@@ -124,13 +123,27 @@ pub fn harden_split(split: &mut SplitResult, weak: &[(ComponentId, FragLabel)]) 
         }
     }
 
-    if mutated {
-        // Re-run the post-split pipeline: fresh statement ids, a fresh
-        // deferrable-call analysis (decode statements demand results
-        // immediately, invalidating earlier marks) and fresh effects.
-        reset_deferred(&mut split.open);
-        split.open.renumber_all();
-        split.defer = crate::defer::mark_deferrable(&mut split.open);
+    if !report.applied.is_empty() {
+        // Re-run the post-split pipeline on the functions the rewrite
+        // touched: fresh statement ids and a fresh deferrable-call analysis
+        // (decode statements demand results immediately, invalidating
+        // earlier marks). Every other function keeps its marks, which a
+        // fresh analysis would re-derive unchanged: the rewrite reads only
+        // parameters and writes only places the calls already defined, so
+        // no other function's facts move. Then fresh effects.
+        let rewritten: Vec<FuncId> = rewritten.into_iter().collect();
+        for &fid in &rewritten {
+            let func = split.open.func_mut(fid);
+            reset_deferred(func);
+            func.renumber();
+        }
+        let mut defer = crate::defer::mark_deferrable(&mut split.open, &rewritten);
+        for &fid in &split.changed_funcs {
+            if rewritten.binary_search(&fid).is_err() {
+                defer.add(DeferStats::count(split.open.func(fid)));
+            }
+        }
+        split.defer = defer;
         split.effects = hps_analysis::FragmentEffects::compute(&split.hidden);
     }
     report
@@ -141,6 +154,7 @@ fn harden_group(
     split: &mut SplitResult,
     component: ComponentId,
     label: FragLabel,
+    rewritten: &mut BTreeSet<FuncId>,
 ) -> Result<HardenAction, String> {
     let comp = split
         .hidden
@@ -159,10 +173,11 @@ fn harden_group(
 
     // Collect and validate every call site before touching anything: the
     // fragment is shared, so either all sites can decode or none may.
-    let mut sites: Vec<(usize, Expr)> = Vec::new(); // (func index, decoy expr)
+    let mut sites: Vec<(FuncId, Expr)> = Vec::new(); // (function, decoy expr)
     let mut n_sites = 0usize;
     let mut leak_ty: Option<Ty> = None;
-    for (fi, func) in split.open.functions.iter().enumerate() {
+    for &fid in &split.changed_funcs {
+        let func = split.open.func(fid);
         let mut found = 0usize;
         let mut bad: Option<String> = None;
         hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
@@ -203,7 +218,7 @@ fn harden_group(
         let decoy = decoy_expr(func)
             .ok_or_else(|| format!("function `{}` has no usable decoy parameter", func.name))?;
         n_sites += found;
-        sites.push((fi, decoy));
+        sites.push((fid, decoy));
     }
     if n_sites == 0 {
         return Err("fragment has no call sites".into());
@@ -234,9 +249,11 @@ fn harden_group(
 
     // 2. Rewrite every call site: append the decoy argument and decode the
     //    result right after the call.
-    for &(fi, ref decoy) in &sites {
-        let body = std::mem::take(&mut split.open.functions[fi].body);
-        split.open.functions[fi].body = rewrite_block(body, component, label, decoy, kind);
+    for &(fid, ref decoy) in &sites {
+        rewritten.insert(fid);
+        let func = split.open.func_mut(fid);
+        let body = std::mem::take(&mut func.body);
+        func.body = rewrite_block(body, component, label, decoy, kind);
     }
 
     // 3. Update the ILP declarations. `leaked_expr` stays the underlying
@@ -246,7 +263,7 @@ fn harden_group(
     //    only reads parameters, which keep their ids across the split).
     let mut n_ilps = 0usize;
     for r in &mut split.reports {
-        let Some((_, decoy)) = sites.iter().find(|&&(fi, _)| fi == r.func.index()) else {
+        let Some((_, decoy)) = sites.iter().find(|&&(fid, _)| fid == r.func) else {
             continue;
         };
         for ilp in &mut r.ilps {
@@ -416,9 +433,9 @@ fn place_has_call(place: &Place) -> bool {
     }
 }
 
-/// Clears every deferred mark so the deferrable-call analysis re-decides
-/// from scratch after the rewrite.
-fn reset_deferred(program: &mut hps_ir::Program) {
+/// Clears every deferred mark in `func` so the deferrable-call analysis
+/// re-decides from scratch after the rewrite.
+fn reset_deferred(func: &mut hps_ir::Function) {
     fn walk(block: &mut Block) {
         for stmt in &mut block.stmts {
             match &mut stmt.kind {
@@ -434,7 +451,5 @@ fn reset_deferred(program: &mut hps_ir::Program) {
             }
         }
     }
-    for func in &mut program.functions {
-        walk(&mut func.body);
-    }
+    walk(&mut func.body);
 }

@@ -66,4 +66,4 @@ pub use plan::{SplitPlan, SplitTarget};
 pub use result::{HardenKind, IlpInfo, IlpKind, SplitReport, SplitResult};
 pub use selection::{select_functions, FunctionEligibility};
 pub use self_contained::{self_contained_report, SelfContainedReport};
-pub use splitter::split_program;
+pub use splitter::{split_program, split_program_if};

@@ -112,6 +112,11 @@ pub struct SplitResult {
     pub hidden: HiddenProgram,
     /// Per-target reports.
     pub reports: Vec<SplitReport>,
+    /// The functions the split rewrote, in ascending id order. Every other
+    /// function of [`SplitResult::open`] is shared (the same `Arc`) with
+    /// the program the split was made from, and only these functions
+    /// contain hidden calls.
+    pub changed_funcs: Vec<FuncId>,
     /// What the deferrable-call pass marked (round-trip coalescing).
     pub defer: DeferStats,
     /// Per-fragment effect summaries (`hps-analysis::effects`): which

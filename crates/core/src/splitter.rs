@@ -27,6 +27,7 @@ use hps_ir::{
 };
 use hps_slicing::{slice_function, Disposition, PromotionKind, SliceConfig, SlicePlan};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Splits a program according to the plan.
 ///
@@ -55,9 +56,31 @@ use std::collections::{BTreeSet, HashMap};
 /// Returns a [`SplitError`] for unknown names, bad seeds or plans the
 /// transformation cannot realize.
 pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult, SplitError> {
+    Ok(split_program_if(program, plan, |_| true)?.expect("every split is kept"))
+}
+
+/// [`split_program`] with an early veto: `keep` sees the rewritten split
+/// before the deferrable-call pass and the effect analysis run (its
+/// `defer` and `effects` are still the defaults), and `Ok(None)` is
+/// returned when it declines. A caller that rejects most splits on the
+/// rewritten open code alone (the cost-restricted seed rule) skips those
+/// two passes for the splits it rejects.
+///
+/// The open program shares every function the plan does not rewrite with
+/// `program`; [`SplitResult::changed_funcs`] lists the rewritten ones.
+///
+/// # Errors
+///
+/// As [`split_program`].
+pub fn split_program_if(
+    program: &Program,
+    plan: &SplitPlan,
+    keep: impl FnOnce(&SplitResult) -> bool,
+) -> Result<Option<SplitResult>, SplitError> {
     let mut open = program.clone();
     let mut hidden = HiddenProgram::new();
     let mut reports = Vec::new();
+    let mut changed = BTreeSet::new();
 
     for target in &plan.targets {
         let comp_id = ComponentId::new(hidden.components.len());
@@ -92,7 +115,8 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
                     Some(f),
                 );
                 let (new_func, report) = rewrite_function(program, *func, &splan, &mut comp, true)?;
-                open.functions[func.index()] = new_func;
+                open.functions[func.index()] = Arc::new(new_func);
+                changed.insert(*func);
                 hidden.add(comp.finish());
                 reports.push(report);
             }
@@ -132,7 +156,8 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
                     check_plan(&splan)?;
                     let (new_func, report) =
                         rewrite_function(program, fid, &splan, &mut comp, false)?;
-                    open.functions[fid.index()] = new_func;
+                    open.functions[fid.index()] = Arc::new(new_func);
+                    changed.insert(fid);
                     reports.push(report);
                 }
                 if !any {
@@ -201,7 +226,8 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
                     check_plan(&splan)?;
                     let (new_func, report) =
                         rewrite_function(program, mid, &splan, &mut comp, false)?;
-                    open.functions[mid.index()] = new_func;
+                    open.functions[mid.index()] = Arc::new(new_func);
+                    changed.insert(mid);
                     reports.push(report);
                 }
                 hidden.add(comp.finish());
@@ -209,19 +235,26 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
         }
     }
 
-    open.renumber_all();
-    // Round-trip coalescing: mark hidden calls whose replies no open
-    // statement demands before the next flush point (see `crate::defer`).
-    let defer = crate::defer::mark_deferrable(&mut open);
-    // Effect/purity summaries for the audit lints and effect reports.
-    let effects = hps_analysis::FragmentEffects::compute(&hidden);
-    Ok(SplitResult {
+    let changed_funcs: Vec<FuncId> = changed.into_iter().collect();
+    for &fid in &changed_funcs {
+        open.func_mut(fid).renumber();
+    }
+    let mut split = SplitResult {
         open,
         hidden,
         reports,
-        defer,
-        effects,
-    })
+        changed_funcs,
+        ..SplitResult::default()
+    };
+    if !keep(&split) {
+        return Ok(None);
+    }
+    // Round-trip coalescing: mark hidden calls whose replies no open
+    // statement demands before the next flush point (see `crate::defer`).
+    split.defer = crate::defer::mark_deferrable(&mut split.open, &split.changed_funcs);
+    // Effect/purity summaries for the audit lints and effect reports.
+    split.effects = hps_analysis::FragmentEffects::compute(&split.hidden);
+    Ok(Some(split))
 }
 
 fn check_plan(plan: &SlicePlan) -> Result<(), SplitError> {

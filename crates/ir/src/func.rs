@@ -158,6 +158,18 @@ impl Function {
         next as usize
     }
 
+    /// Whether the statement ids are already what [`Function::renumber`]
+    /// would assign: dense and in pre-order.
+    pub fn is_numbered(&self) -> bool {
+        let mut next = 0u32;
+        let mut dense = true;
+        visit::for_each_stmt(&self.body, &mut |stmt| {
+            dense &= stmt.id == StmtId(next);
+            next += 1;
+        });
+        dense && next == self.next_stmt_id
+    }
+
     /// Number of statements (valid after [`Function::renumber`]).
     pub fn stmt_count(&self) -> usize {
         self.next_stmt_id as usize
@@ -214,6 +226,9 @@ mod tests {
         assert_eq!(f.stmt_count(), 2);
         assert!(f.stmt(StmtId::new(1)).is_some());
         assert!(f.stmt(StmtId::new(9)).is_none());
+        assert!(f.is_numbered());
+        f.body.stmts.swap(0, 1);
+        assert!(!f.is_numbered());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Programs, globals and classes.
 
 use crate::{ClassId, FieldId, FuncId, Function, GlobalId, Ty, Value};
+use std::sync::Arc;
 
 /// A global variable declaration.
 #[derive(Clone, PartialEq, Debug)]
@@ -59,10 +60,15 @@ impl ClassDef {
 }
 
 /// A whole compilation unit.
+///
+/// Functions are shared behind [`Arc`]s, so cloning a program copies
+/// pointers, not bodies. [`Program::func_mut`] rewrites copy-on-write: a
+/// transformation that rewrites one function of a clone leaves every other
+/// function shared with the program it was cloned from.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Program {
     /// All functions, including class methods.
-    pub functions: Vec<Function>,
+    pub functions: Vec<Arc<Function>>,
     /// Global variables.
     pub globals: Vec<GlobalDecl>,
     /// Class definitions.
@@ -77,7 +83,7 @@ impl Program {
 
     /// Appends a function, returning its id.
     pub fn add_function(&mut self, func: Function) -> FuncId {
-        self.functions.push(func);
+        self.functions.push(Arc::new(func));
         FuncId::new(self.functions.len() - 1)
     }
 
@@ -101,13 +107,15 @@ impl Program {
         &self.functions[id.index()]
     }
 
-    /// Mutable access to the function with the given id.
+    /// Mutable access to the function with the given id. A function
+    /// still shared with another program is cloned first
+    /// ([`Arc::make_mut`]).
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.functions[id.index()]
+        Arc::make_mut(&mut self.functions[id.index()])
     }
 
     /// Looks up a free function by name (methods are not found here).
@@ -158,8 +166,20 @@ impl Program {
     }
 
     /// Renumbers statements in every function. Returns total statements.
+    ///
+    /// Functions whose ids are already dense and pre-order are left
+    /// untouched, so shared functions stay shared.
     pub fn renumber_all(&mut self) -> usize {
-        self.functions.iter_mut().map(|f| f.renumber()).sum()
+        self.functions
+            .iter_mut()
+            .map(|f| {
+                if f.is_numbered() {
+                    f.stmt_count()
+                } else {
+                    Arc::make_mut(f).renumber()
+                }
+            })
+            .sum()
     }
 
     /// Iterator over `(id, function)` pairs.
@@ -167,7 +187,7 @@ impl Program {
         self.functions
             .iter()
             .enumerate()
-            .map(|(i, f)| (FuncId::new(i), f))
+            .map(|(i, f)| (FuncId::new(i), &**f))
     }
 }
 
@@ -221,5 +241,22 @@ mod tests {
         p.add_function(f2);
         assert_eq!(p.renumber_all(), 3);
         assert_eq!(p.iter_funcs().count(), 2);
+    }
+
+    #[test]
+    fn clones_share_functions_until_rewritten() {
+        let mut p = Program::new();
+        let mut f = Function::new("a", Ty::Void);
+        f.body.stmts.push(crate::Stmt::new(crate::StmtKind::Nop));
+        p.add_function(f);
+        p.add_function(Function::new("b", Ty::Void));
+        p.renumber_all();
+        let mut q = p.clone();
+        assert_eq!(q.renumber_all(), 1);
+        assert!(Arc::ptr_eq(&p.functions[0], &q.functions[0]));
+        q.func_mut(FuncId::new(1)).name = "c".into();
+        assert!(Arc::ptr_eq(&p.functions[0], &q.functions[0]));
+        assert!(!Arc::ptr_eq(&p.functions[1], &q.functions[1]));
+        assert_eq!(p.func(FuncId::new(1)).name, "b");
     }
 }

@@ -15,9 +15,10 @@
 //! grows with the input. [`SeedRule::MaxComplexity`] is the unrestricted
 //! variant (used to study the trade-off; see the selection ablation).
 
-use crate::ilp::analyze_report;
+use crate::ilp::analyze_report_with;
 use crate::lattice::{Ac, AcType};
-use hps_core::{split_program, SplitPlan, SplitResult, SplitTarget};
+use hps_analysis::ProgramFacts;
+use hps_core::{split_program_if, SplitPlan, SplitResult, SplitTarget};
 use hps_ir::{FuncId, LocalId, Program, StmtKind};
 
 /// How to trade security against communication cost when picking seeds.
@@ -98,22 +99,29 @@ impl SeedCandidate {
 /// ([`crate::optimize::default_targets`]); an empty ranking means `func`
 /// has no usable seed.
 pub fn ranked_seeds_with(program: &Program, func: FuncId, rule: SeedRule) -> Vec<SeedCandidate> {
-    rank_seeds(program, func, rule, |_| ())
+    rank_seeds(&ProgramFacts::new(program), func, rule, |_| ())
         .into_iter()
         .map(|(c, ())| c)
         .collect()
 }
 
-/// The ranker behind [`ranked_seeds_with`]: additionally applies `on_split`
-/// to every kept candidate's single-target split while it is scored and
-/// pairs the result with the candidate. The split is dropped right after,
-/// so at most one candidate split is alive at a time.
+/// The ranker behind [`ranked_seeds_with`], over the shared facts of the
+/// original program: additionally applies `on_split` to every kept
+/// candidate's single-target split while it is scored and pairs the result
+/// with the candidate. The split is dropped right after, so at most one
+/// candidate split is alive at a time.
+///
+/// The cost rule is checked on the rewritten open code, before the split
+/// runs its deferrable-call pass and effect analysis, so a rejected
+/// candidate never pays for either (the check reads neither deferred
+/// marks nor result places).
 pub(crate) fn rank_seeds<T>(
-    program: &Program,
+    facts: &ProgramFacts<'_>,
     func: FuncId,
     rule: SeedRule,
     mut on_split: impl FnMut(&SplitResult) -> T,
 ) -> Vec<(SeedCandidate, T)> {
+    let program = facts.program();
     let f = program.func(func);
     let mut candidates: Vec<(SeedCandidate, T)> = Vec::new();
     for (i, local) in f.locals.iter().enumerate() {
@@ -122,18 +130,18 @@ pub(crate) fn rank_seeds<T>(
             continue;
         }
         let plan = SplitPlan::from_targets(vec![SplitTarget::Function { func, seed }]);
-        let split = match split_program(program, &plan) {
-            Ok(s) => s,
-            Err(_) => continue,
+        let within_cost = |split: &SplitResult| {
+            rule != SeedRule::CostRestricted || in_loop_hidden_calls(split, func) == 0
         };
-        if rule == SeedRule::CostRestricted && in_loop_hidden_calls(&split, func) > 0 {
-            continue;
-        }
+        let split = match split_program_if(program, &plan, within_cost) {
+            Ok(Some(s)) => s,
+            Ok(None) | Err(_) => continue,
+        };
         let report = match split.reports.first() {
             Some(r) if !r.ilps.is_empty() || !r.hidden_vars.is_empty() => r,
             _ => continue,
         };
-        let complexities = analyze_report(program, report);
+        let complexities = analyze_report_with(facts, report);
         let max_ac = complexities
             .iter()
             .map(|c| c.ac.clone())
@@ -161,6 +169,7 @@ pub(crate) fn rank_seeds<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hps_core::split_program;
 
     /// The top-ranked seed of `func` under `rule`.
     fn best(p: &Program, func: FuncId, rule: SeedRule) -> Option<LocalId> {

@@ -3,7 +3,7 @@
 use crate::cc::{CcTriple, PathCount};
 use crate::estimate::Estimator;
 use crate::lattice::{Ac, AcType};
-use hps_analysis::TripCount;
+use hps_analysis::{ProgramFacts, TripCount};
 use hps_core::{IlpInfo, SplitReport, SplitResult};
 use hps_ir::{BinOp, Expr, FuncId, Program, StmtKind, UnOp};
 use hps_slicing::PromotionKind;
@@ -140,7 +140,13 @@ impl SecurityReport {
 
 /// Analyzes all ILPs of one split report against the *original* program.
 pub fn analyze_report(original: &Program, report: &SplitReport) -> Vec<IlpComplexity> {
-    let est = Estimator::new(original, report.func, &report.plan);
+    analyze_report_with(&ProgramFacts::new(original), report)
+}
+
+/// [`analyze_report`] against the shared facts of the original program.
+pub fn analyze_report_with(facts: &ProgramFacts<'_>, report: &SplitReport) -> Vec<IlpComplexity> {
+    let original = facts.program();
+    let est = Estimator::new(original, facts.func(report.func), &report.plan);
     report
         .ilps
         .iter()
@@ -188,11 +194,18 @@ pub fn analyze_report(original: &Program, report: &SplitReport) -> Vec<IlpComple
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn analyze_split(original: &Program, split: &SplitResult) -> SecurityReport {
+    analyze_split_with(&ProgramFacts::new(original), split)
+}
+
+/// [`analyze_split`] against the shared facts of the original program:
+/// a planner that analyzes many splits of one program computes each
+/// function's analysis bundle once.
+pub fn analyze_split_with(facts: &ProgramFacts<'_>, split: &SplitResult) -> SecurityReport {
     SecurityReport {
         per_func: split
             .reports
             .iter()
-            .map(|r| (r.func, analyze_report(original, r)))
+            .map(|r| (r.func, analyze_report_with(facts, r)))
             .collect(),
     }
 }

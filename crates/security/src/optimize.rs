@@ -31,9 +31,12 @@
 //! overhead, and a `loop_trip` multiplier per enclosing non-constant-trip
 //! loop. [`PlanCostModel::calibrated`] replaces the round-trip weight with
 //! the telemetry-measured cost breakdown of a real run.
+//!
+//! [`ranked_seeds_with`]: crate::ranked_seeds_with
 
-use crate::choose::{rank_seeds, ranked_seeds_with, SeedCandidate, SeedRule};
+use crate::choose::{rank_seeds, SeedCandidate, SeedRule};
 use crate::lattice::Ac;
+use hps_analysis::ProgramFacts;
 use hps_core::{select_functions, split_program, SplitError, SplitPlan, SplitResult, SplitTarget};
 use hps_ir::{FuncId, Function, LocalId, Program, StmtKind};
 
@@ -195,8 +198,8 @@ fn has_hidden_call(func: &Function) -> bool {
 
 /// Predicts the overhead of a split. `base_units` is the baseline for the
 /// percentage: pass a measured original-run cost when available, `None`
-/// for the static estimate. Open functions without a hidden call add
-/// nothing and are not analyzed.
+/// for the static estimate. Only the split's changed functions can hold
+/// hidden calls; the rest add nothing and are not analyzed.
 pub fn predict(
     program: &Program,
     split: &SplitResult,
@@ -207,7 +210,8 @@ pub fn predict(
     let mut in_loop_sites = 0usize;
     let mut demand_weight = 0u64;
     let mut deferred_weight = 0u64;
-    for func in split.open.functions.iter().filter(|f| has_hidden_call(f)) {
+    let funcs = split.changed_funcs.iter().map(|&fid| split.open.func(fid));
+    for func in funcs.filter(|f| has_hidden_call(f)) {
         let structure = hps_analysis::StructInfo::compute(func);
         let loops = hps_analysis::LoopInfo::compute(func, &structure);
         hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
@@ -290,11 +294,12 @@ pub struct OptimizeOutcome {
 /// best-ranked seed per function — as a [`SplitPlan`]. This is exactly
 /// [`optimize`] at level 0 and the plan behind every pre-existing golden.
 pub fn default_targets(program: &Program, rule: SeedRule) -> SplitPlan {
+    let facts = ProgramFacts::new(program);
     SplitPlan::from_targets(
         select_functions(program)
             .into_iter()
             .filter_map(|func| {
-                let seed = ranked_seeds_with(program, func, rule).first()?.seed;
+                let seed = rank_seeds(&facts, func, rule, |_| ()).first()?.0.seed;
                 Some(SplitTarget::Function { func, seed })
             })
             .collect(),
@@ -306,8 +311,13 @@ pub fn default_targets(program: &Program, rule: SeedRule) -> SplitPlan {
 /// walking levels 0, 1, 2, … (the `hps-audit` `Planner`) pays for each
 /// candidate's single-target split *once* — while ranking it — and never
 /// splits a single candidate again. [`optimize`] is the one-shot wrapper.
+///
+/// The ladder also owns the original program's [`ProgramFacts`]: ranking
+/// grades every candidate against them, and a caller analyzing the
+/// ladder's splits reads them through [`OptimizeLadder::facts`].
 pub struct OptimizeLadder<'p> {
     program: &'p Program,
+    facts: ProgramFacts<'p>,
     rule: SeedRule,
     rule_fallback: bool,
     model: PlanCostModel,
@@ -331,11 +341,12 @@ impl<'p> OptimizeLadder<'p> {
     /// contribution is predicted from the split that scored it.
     pub fn new(program: &'p Program, rule: SeedRule, model: PlanCostModel) -> OptimizeLadder<'p> {
         let selected = select_functions(program);
+        let facts = ProgramFacts::new(program);
         let rank_all = |rule: SeedRule| -> Vec<(FuncId, Vec<(SeedCandidate, u64)>)> {
             selected
                 .iter()
                 .map(|&f| {
-                    let scored = rank_seeds(program, f, rule, |split| {
+                    let scored = rank_seeds(&facts, f, rule, |split| {
                         predict(program, split, &model, Some(1)).extra_units
                     });
                     (f, scored)
@@ -361,6 +372,7 @@ impl<'p> OptimizeLadder<'p> {
         let base_estimate = estimate_base_units(program, &model);
         OptimizeLadder {
             program,
+            facts,
             rule: used_rule,
             rule_fallback,
             model,
@@ -376,6 +388,19 @@ impl<'p> OptimizeLadder<'p> {
     /// Downgrade levels applied so far.
     pub fn level(&self) -> usize {
         self.level
+    }
+
+    /// The original program's shared analysis facts.
+    pub fn facts(&self) -> &ProgramFacts<'p> {
+        &self.facts
+    }
+
+    /// The static estimate of the original program's run cost that
+    /// [`OptimizeLadder::outcome`] predicts against when no measured
+    /// baseline is given ([`estimate_base_units`] under the ladder's
+    /// model).
+    pub fn base_estimate(&self) -> u64 {
+        self.base_estimate
     }
 
     /// Applies one downgrade move: the most expensive still-planned
@@ -490,6 +515,7 @@ pub fn optimize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::choose::ranked_seeds_with;
 
     const SRC: &str = "
         fn f(x: int, y: int) -> int {
@@ -637,6 +663,7 @@ mod tests {
             fn main() { var b: int[] = new int[64]; print(h(10, b)); }";
         let model = PlanCostModel::default();
         let mut deeper_ranks = 0;
+        let mut rejected = 0;
         for src in [SRC, LOOPY] {
             let p = hps_lang::parse(src).unwrap();
             for rule in [SeedRule::CostRestricted, SeedRule::MaxComplexity] {
@@ -644,6 +671,11 @@ mod tests {
                 assert_eq!(ladder.contrib.len(), ladder.ranked.len());
                 for (i, (func, cands)) in ladder.ranked.iter().enumerate() {
                     assert_eq!(*cands, ranked_seeds_with(&p, *func, ladder.rule));
+                    // The ranker checks the cost rule before the deferral
+                    // pass; the reference splits in full and checks after.
+                    let (reference, n_rejected) = rank_after_full_splits(&p, *func, ladder.rule);
+                    assert_eq!(*cands, reference, "{rule:?} ({i})");
+                    rejected += n_rejected;
                     assert_eq!(ladder.contrib[i].len(), cands.len());
                     for (rank, c) in cands.iter().enumerate() {
                         let plan = SplitPlan::from_targets(vec![SplitTarget::Function {
@@ -662,5 +694,57 @@ mod tests {
             deeper_ranks > 0,
             "some function has more than one candidate"
         );
+        assert!(rejected > 0, "the cost rule rejects some candidate");
+    }
+
+    /// The seed ranking computed the straightforward way: split each
+    /// candidate completely, then apply the cost rule, then score it
+    /// against a fresh analysis of the original program. Also returns how
+    /// many candidates the cost rule rejected.
+    fn rank_after_full_splits(
+        p: &Program,
+        func: FuncId,
+        rule: SeedRule,
+    ) -> (Vec<SeedCandidate>, usize) {
+        let f = p.func(func);
+        let mut rejected = 0;
+        let mut out = Vec::new();
+        for (i, local) in f.locals.iter().enumerate() {
+            let seed = LocalId::new(i);
+            if f.is_param(seed) || !local.ty.is_scalar() {
+                continue;
+            }
+            let plan = SplitPlan::from_targets(vec![SplitTarget::Function { func, seed }]);
+            let Ok(split) = split_program(p, &plan) else {
+                continue;
+            };
+            if rule == SeedRule::CostRestricted
+                && crate::choose::in_loop_hidden_calls(&split, func) > 0
+            {
+                rejected += 1;
+                continue;
+            }
+            let report = &split.reports[0];
+            if report.ilps.is_empty() && report.hidden_vars.is_empty() {
+                continue;
+            }
+            let complexities = crate::analyze_report(p, report);
+            let max_ac = complexities
+                .iter()
+                .map(|c| c.ac.clone())
+                .max_by(|a, b| (a.ty, a.degree).cmp(&(b.ty, b.degree)))
+                .unwrap_or_else(|| Ac {
+                    ty: crate::AcType::Constant,
+                    inputs: crate::Inputs::none(),
+                    degree: 0,
+                });
+            out.push(SeedCandidate {
+                seed,
+                max_ac,
+                n_ilps: complexities.len(),
+            });
+        }
+        out.sort_by_key(|c| std::cmp::Reverse((c.max_ac.ty, c.max_ac.degree, c.n_ilps)));
+        (out, rejected)
     }
 }

@@ -67,7 +67,8 @@ fn estimator_is_reusable_for_custom_queries() {
     let split = split_program(&program, &plan).unwrap();
     let report = &split.reports[0];
     let fid = program.func_by_name("f").unwrap();
-    let est = Estimator::new(&program, fid, &report.plan);
+    let fa = hps_analysis::FuncAnalysis::compute(&program, fid);
+    let est = Estimator::new(&program, &fa, &report.plan);
     // All hidden statements feeding the `b[1] = sum` leak: the summation
     // loop body plus the initializations of i and sum, and a's definition.
     let sum_leak = report

@@ -1,7 +1,7 @@
 fn main() {
     for b in hps_suite::benchmarks() {
         let p = b.program().unwrap();
-        let stmts: usize = p.functions.iter().map(hps_ir::Function::stmt_count).sum();
+        let stmts: usize = p.iter_funcs().map(|(_, f)| f.stmt_count()).sum();
         println!(
             "{}: {} functions, {} stmts",
             b.name,

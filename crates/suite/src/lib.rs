@@ -189,7 +189,7 @@ mod tests {
                 b.name,
                 p.functions.len()
             );
-            let stmts: usize = p.functions.iter().map(hps_ir::Function::stmt_count).sum();
+            let stmts: usize = p.iter_funcs().map(|(_, f)| f.stmt_count()).sum();
             assert!(stmts >= 120, "{} has only {stmts} statements", b.name);
         }
     }

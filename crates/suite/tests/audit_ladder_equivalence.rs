@@ -5,7 +5,10 @@
 //! `OptimizeLadder` level of the five suite programs, unhardened and
 //! hardened, and with both the audit's label set (fragments returning
 //! hidden-dependent values) and every fragment as a label, the two
-//! `OpenFlow` results must be equal — `rounds` included.
+//! `OpenFlow` results must be equal — `rounds` included. The security
+//! reports that pick the hardened groups come from the uncached
+//! `analyze_split`, and on every level they must equal the reports read
+//! through the ladder's shared facts.
 
 use hps_analysis::taint::{TaintAnalysis, TaintModel};
 use hps_analysis::{BitSet, CallGraph, Cfg, ControlDeps, DomTree, ModRef, VarId};
@@ -14,7 +17,9 @@ use hps_audit::fragment::analyze_fragments;
 use hps_audit::lints::declared_ilps;
 use hps_core::{harden_split, split_program, SplitResult};
 use hps_ir::{ComponentId, Expr, FragLabel, FuncId, Program, Stmt, StmtKind};
-use hps_security::{analyze_split, AcType, OptimizeLadder, PlanCostModel, SeedRule};
+use hps_security::{
+    analyze_split, analyze_split_with, AcType, OptimizeLadder, PlanCostModel, SeedRule,
+};
 use std::collections::HashMap;
 
 /// The reference's per-function model: the current summaries.
@@ -244,7 +249,8 @@ fn check_split(bench: &str, level: usize, hardened: bool, split: &SplitResult) -
     let mut every: Vec<_> = facts.keys().copied().collect();
     every.sort();
     for (name, set) in [("audit", &audit_set), ("every-fragment", &every)] {
-        let fast = analyze_open_flow(&split.open, set, &declared);
+        let modref = ModRef::compute(&split.open);
+        let fast = analyze_open_flow(&split.open, &modref, set, &declared);
         let slow = reference_flow(&split.open, set, &declared);
         assert_eq!(
             fast, slow,
@@ -268,8 +274,12 @@ fn incremental_open_flow_matches_full_resolve_on_every_ladder_level() {
                 let mut split = split_program(&program, &plan).expect("ladder plans split");
                 compared += check_split(bench.name, ladder.level(), false, &split);
                 // Harden exactly as the planner does: the weak (Constant or
-                // Linear) leak groups of the unhardened split.
-                let mut weak: Vec<_> = analyze_split(&program, &split)
+                // Linear) leak groups of the unhardened split. The analysis
+                // here is the uncached one; the ladder's shared facts must
+                // give the same report.
+                let before = analyze_split(&program, &split);
+                assert_eq!(before, analyze_split_with(ladder.facts(), &split));
+                let mut weak: Vec<_> = before
                     .iter()
                     .filter(|c| matches!(c.ac.ty, AcType::Constant | AcType::Linear))
                     .map(|c| (c.ilp.component, c.ilp.label))
@@ -277,6 +287,10 @@ fn incremental_open_flow_matches_full_resolve_on_every_ladder_level() {
                 weak.sort();
                 weak.dedup();
                 harden_split(&mut split, &weak);
+                assert_eq!(
+                    analyze_split(&program, &split),
+                    analyze_split_with(ladder.facts(), &split)
+                );
                 compared += check_split(bench.name, ladder.level(), true, &split);
             }
             if !ladder.descend() {

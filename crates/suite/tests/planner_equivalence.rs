@@ -43,7 +43,10 @@ fn weak_count(security: &SecurityReport) -> usize {
 }
 
 /// The full pipeline for one plan: split, analyze, harden, re-analyze,
-/// audit, measure, predict, verdict.
+/// audit, measure, predict, verdict. Every analysis here is the uncached
+/// `analyze_split`, which builds fresh facts of the original program per
+/// call, so the comparison checks the planner's shared facts instead of
+/// reusing them.
 fn reference_level(
     program: &Program,
     mut report: PlanReport,
