@@ -172,11 +172,6 @@ impl<'p> ProgramFacts<'p> {
         self.program
     }
 
-    /// The program's global mod/ref summary.
-    pub fn modref(&self) -> &ModRef {
-        &self.modref
-    }
-
     /// The analysis bundle of `func`, computed on first use.
     ///
     /// # Panics

@@ -53,7 +53,7 @@ pub struct DeferStats {
 impl DeferStats {
     /// The hidden calls of `func` and how many of them are already marked
     /// deferred, without re-deriving any mark (no dead results dropped).
-    pub fn count(func: &Function) -> DeferStats {
+    pub(crate) fn count(func: &Function) -> DeferStats {
         let mut stats = DeferStats::default();
         hps_ir::visit::for_each_stmt(&func.body, &mut |s| {
             if let StmtKind::HiddenCall { deferred, .. } = &s.kind {
@@ -65,7 +65,7 @@ impl DeferStats {
     }
 
     /// Adds `other`'s counts to these.
-    pub fn add(&mut self, other: DeferStats) {
+    pub(crate) fn add(&mut self, other: DeferStats) {
         self.total_calls += other.total_calls;
         self.deferred_calls += other.deferred_calls;
         self.dead_results_dropped += other.dead_results_dropped;

@@ -124,13 +124,13 @@ pub fn harden_split(split: &mut SplitResult, weak: &[(ComponentId, FragLabel)]) 
     }
 
     if !report.applied.is_empty() {
-        // Re-run the post-split pipeline on the functions the rewrite
-        // touched: fresh statement ids and a fresh deferrable-call analysis
-        // (decode statements demand results immediately, invalidating
-        // earlier marks). Every other function keeps its marks, which a
-        // fresh analysis would re-derive unchanged: the rewrite reads only
-        // parameters and writes only places the calls already defined, so
-        // no other function's facts move. Then fresh effects.
+        // Re-run the post-split pipeline: fresh statement ids and a fresh
+        // deferrable-call analysis (decode statements demand results
+        // immediately, invalidating earlier marks) for the functions the
+        // rewrite touched, and fresh effects. Every other function keeps
+        // its marks, which a fresh analysis would re-derive unchanged: the
+        // rewrite reads only parameters and writes only places the calls
+        // already defined, so no other function's facts move.
         let rewritten: Vec<FuncId> = rewritten.into_iter().collect();
         for &fid in &rewritten {
             let func = split.open.func_mut(fid);

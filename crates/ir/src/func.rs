@@ -160,7 +160,7 @@ impl Function {
 
     /// Whether the statement ids are already what [`Function::renumber`]
     /// would assign: dense and in pre-order.
-    pub fn is_numbered(&self) -> bool {
+    pub(crate) fn is_numbered(&self) -> bool {
         let mut next = 0u32;
         let mut dense = true;
         visit::for_each_stmt(&self.body, &mut |stmt| {

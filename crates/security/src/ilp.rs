@@ -144,7 +144,10 @@ pub fn analyze_report(original: &Program, report: &SplitReport) -> Vec<IlpComple
 }
 
 /// [`analyze_report`] against the shared facts of the original program.
-pub fn analyze_report_with(facts: &ProgramFacts<'_>, report: &SplitReport) -> Vec<IlpComplexity> {
+pub(crate) fn analyze_report_with(
+    facts: &ProgramFacts<'_>,
+    report: &SplitReport,
+) -> Vec<IlpComplexity> {
     let original = facts.program();
     let est = Estimator::new(original, facts.func(report.func), &report.plan);
     report

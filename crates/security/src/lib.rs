@@ -43,10 +43,7 @@ pub mod optimize;
 pub use cc::{CcTriple, PathCount};
 pub use choose::{in_loop_hidden_calls, ranked_seeds_with, SeedCandidate, SeedRule};
 pub use estimate::Estimator;
-pub use ilp::{
-    analyze_report, analyze_report_with, analyze_split, analyze_split_with, IlpComplexity,
-    SecurityReport,
-};
+pub use ilp::{analyze_report, analyze_split, analyze_split_with, IlpComplexity, SecurityReport};
 pub use lattice::{Ac, AcType, Inputs};
 pub use optimize::{
     default_targets, estimate_base_units, optimize, predict, MeasuredCost, OptimizeLadder,
