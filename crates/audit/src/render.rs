@@ -5,8 +5,8 @@
 //! artifacts diff byte-for-byte across runs.
 
 use crate::diag::{Diagnostic, Severity, ALL_LINTS};
-use crate::json::Json;
 use crate::AuditReport;
+use crate::Json;
 use std::fmt::Write;
 
 /// Version tag embedded in the plain-JSON report.

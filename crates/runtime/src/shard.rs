@@ -51,7 +51,7 @@ use crate::journal::{journal_path, load_disk_journal, DiskJournal, JournalOp, Se
 use crate::server::{ReplayCache, SecureServer, SeqCheck};
 use crate::wire::Response;
 use hps_ir::{ComponentId, HiddenProgram};
-use hps_telemetry::Histogram;
+use hps_telemetry::{metrics::names, CounterTable, Histogram, MetricsSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -73,23 +73,14 @@ pub const DEFAULT_REPLAY_CAPACITY: usize = 1;
 /// dead shard before giving up on an enqueue.
 const RESPAWN_WAIT: Duration = Duration::from_secs(5);
 
-/// Counters shared by every thread of a session server. Updated with
-/// relaxed atomics (the histograms take a short mutex at enqueue /
-/// recovery time only — never on the executor hot path).
+/// What every thread of a session server shares besides the counts: the
+/// control plane (kill and pause requests, the shard table) and the two
+/// histograms. The counts themselves live in registry-keyed
+/// [`CounterTable`]s, one per shard and one for the connection threads, so
+/// each is kept exactly once. The histograms take a short mutex at enqueue
+/// / recovery time only — never on the executor hot path.
 #[derive(Default, Debug)]
 pub(crate) struct StatsInner {
-    pub(crate) connections: AtomicU64,
-    pub(crate) sessions: AtomicU64,
-    pub(crate) calls: AtomicU64,
-    pub(crate) replays: AtomicU64,
-    pub(crate) replay_evictions: AtomicU64,
-    pub(crate) chaos_kills: AtomicU64,
-    /// Fragment panics contained by `catch_unwind` (injected or genuine).
-    pub(crate) panics_caught: AtomicU64,
-    /// Dead executors respawned by the supervisor.
-    pub(crate) shard_restarts: AtomicU64,
-    /// Sessions rebuilt from a journal (respawn or process restart).
-    pub(crate) journal_replays: AtomicU64,
     pub(crate) queue_depth: Mutex<Histogram>,
     /// Wall-clock microseconds per session rebuild. Live-scrape /
     /// `BENCH_*.json` exposition only — never part of a deterministic
@@ -104,15 +95,10 @@ pub(crate) struct StatsInner {
 }
 
 impl StatsInner {
-    pub(crate) fn queue_depth_histogram(&self) -> Histogram {
-        self.queue_depth.lock().expect("queue depth lock").clone()
-    }
-
-    pub(crate) fn recovery_latency_histogram(&self) -> Histogram {
-        self.recovery_latency
-            .lock()
-            .expect("recovery latency lock")
-            .clone()
+    /// Every shard's deterministic counters, in shard order.
+    pub(crate) fn shard_metrics(&self) -> Vec<MetricsSnapshot> {
+        let shards = self.shards.lock().expect("shard table lock");
+        shards.iter().map(|c| c.metrics()).collect()
     }
 
     pub(crate) fn shard_stats(&self) -> Vec<ShardStats> {
@@ -121,42 +107,54 @@ impl StatsInner {
             .expect("shard table lock")
             .iter()
             .enumerate()
-            .map(|(shard, c)| ShardStats {
-                shard,
-                calls: c.calls.load(Ordering::Relaxed),
-                fragments: c.fragments.load(Ordering::Relaxed),
-                cost_units: c.cost.load(Ordering::Relaxed),
-                sessions: c.sessions.load(Ordering::Relaxed),
-                max_queue_depth: c.max_depth.load(Ordering::Relaxed),
-                vm_compiles: c.vm.compiles(),
-                vm_cache_hits: c.vm.cache_hits(),
-                memo_hits: 0,
-                memo_misses: 0,
-                compile_nanos: c.vm.compile_nanos(),
-                exec_nanos: c.exec_nanos.load(Ordering::Relaxed),
-                restarts: c.restarts.load(Ordering::Relaxed),
+            .map(|(shard, c)| {
+                let m = c.metrics();
+                ShardStats {
+                    shard,
+                    calls: m.counter(names::SERVER_CALLS),
+                    fragments: m.counter(names::FRAGMENTS),
+                    cost_units: m.counter(names::SERVER_COST_UNITS),
+                    sessions: m.counter(names::SERVER_SESSIONS),
+                    max_queue_depth: c.max_depth.load(Ordering::Relaxed),
+                    vm_compiles: m.counter(names::SERVER_VM_COMPILES),
+                    vm_cache_hits: m.counter(names::SERVER_VM_CACHE_HITS),
+                    memo_hits: 0,
+                    memo_misses: 0,
+                    compile_nanos: c.vm.compile_nanos(),
+                    exec_nanos: c.exec_nanos.load(Ordering::Relaxed),
+                    restarts: m.counter(names::SERVER_SHARD_RESTARTS),
+                }
             })
             .collect()
     }
 }
 
-/// Per-shard live counters (internal; snapshot via [`ShardStats`]).
+/// Per-shard live state (internal; read via [`ShardStats`] and
+/// `SessionServerHandle::metrics`).
 #[derive(Debug)]
 pub(crate) struct ShardCounters {
-    calls: AtomicU64,
-    fragments: AtomicU64,
-    cost: AtomicU64,
-    sessions: AtomicU64,
+    /// Every deterministic count of this shard, by registry name: calls,
+    /// fragments, cost, sessions, replays, replay evictions, panics
+    /// caught, journal replays and restarts.
+    table: CounterTable,
     depth: AtomicU64,
     max_depth: AtomicU64,
     /// Wall-clock nanoseconds this shard spent executing sequenced units.
     exec_nanos: AtomicU64,
-    /// Executor respawns the supervisor performed for this shard.
-    restarts: AtomicU64,
     /// The shard's shared compile-once bytecode cache. Every session of
     /// the shard compiles into — and hits — this cache. `Send + Sync`
     /// atomics only, so it survives executor respawns.
     vm: Arc<VmCache>,
+}
+
+impl ShardCounters {
+    /// The shard's counter table plus its VM-cache counts.
+    fn metrics(&self) -> MetricsSnapshot {
+        let mut m = self.table.snapshot();
+        m.add(names::SERVER_VM_COMPILES, self.vm.compiles());
+        m.add(names::SERVER_VM_CACHE_HITS, self.vm.cache_hits());
+        m
+    }
 }
 
 /// Snapshot of one shard executor's counters.
@@ -408,14 +406,10 @@ impl ShardPool {
         let mut threads = Vec::with_capacity(shards);
         for shard in 0..shards {
             let c = Arc::new(ShardCounters {
-                calls: AtomicU64::new(0),
-                fragments: AtomicU64::new(0),
-                cost: AtomicU64::new(0),
-                sessions: AtomicU64::new(0),
+                table: CounterTable::new(),
                 depth: AtomicU64::new(0),
                 max_depth: AtomicU64::new(0),
                 exec_nanos: AtomicU64::new(0),
-                restarts: AtomicU64::new(0),
                 vm: Arc::new(VmCache::for_program(hidden)),
             });
             let ctx = ShardContext {
@@ -563,8 +557,7 @@ fn supervise(
             // their depth contributions are wiped with this reset.
             ctx.counters.depth.store(0, Ordering::Relaxed);
             *slots[shard].lock().expect("shard slot lock") = Some(tx);
-            ctx.counters.restarts.fetch_add(1, Ordering::Relaxed);
-            stats.shard_restarts.fetch_add(1, Ordering::Relaxed);
+            ctx.counters.table.add(names::SERVER_SHARD_RESTARTS, 1);
         }
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -692,7 +685,7 @@ fn serve_seq(
         SessionSlot::Live(state) => match state.replay.check(seq) {
             SeqCheck::Fresh => {}
             SeqCheck::Replay(cached) => {
-                ctx.stats.replays.fetch_add(1, Ordering::Relaxed);
+                ctx.counters.table.add(names::SERVER_REPLAYS, 1);
                 return cached.clone();
             }
             SeqCheck::Gap { expected } => {
@@ -720,16 +713,14 @@ fn serve_seq(
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         match outcome {
             Ok((resp, served, cost)) => {
-                ctx.stats.calls.fetch_add(served, Ordering::Relaxed);
-                ctx.counters.calls.fetch_add(served, Ordering::Relaxed);
-                ctx.counters.fragments.fetch_add(served, Ordering::Relaxed);
-                ctx.counters.cost.fetch_add(cost, Ordering::Relaxed);
+                let table = &ctx.counters.table;
+                table.add(names::SERVER_CALLS, served);
+                table.add(names::FRAGMENTS, served);
+                table.add(names::SERVER_COST_UNITS, cost);
                 let mut buf = Vec::new();
                 resp.encode_into(&mut buf);
                 let evicted = state.replay.store(seq, buf.clone());
-                ctx.stats
-                    .replay_evictions
-                    .fetch_add(evicted, Ordering::Relaxed);
+                table.add(names::SERVER_REPLAY_EVICTIONS, evicted);
                 // The commit point: the journal sees the unit before the
                 // reply leaves the shard (DESIGN.md §12), so recovery is
                 // always at or one behind what the client observed.
@@ -746,7 +737,7 @@ fn serve_seq(
                 return buf;
             }
             Err(payload) => {
-                ctx.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
+                ctx.counters.table.add(names::SERVER_PANICS_CAUGHT, 1);
                 let reason = panic_reason(payload.as_ref());
                 if attempt == 0 {
                     if let Some(rebuilt) = rebuild_session(session, ctx) {
@@ -879,8 +870,7 @@ fn open_session<'a>(
                 }
             }
         } else {
-            ctx.stats.sessions.fetch_add(1, Ordering::Relaxed);
-            ctx.counters.sessions.fetch_add(1, Ordering::Relaxed);
+            ctx.counters.table.add(names::SERVER_SESSIONS, 1);
             ctx.journal
                 .lock()
                 .expect("journal lock")
@@ -946,7 +936,7 @@ fn rebuild_session(session: u64, ctx: &ShardContext) -> Option<SessionState> {
             JournalOp::Release { component, key } => state.server.release(*component, *key),
         }
     }
-    ctx.stats.journal_replays.fetch_add(1, Ordering::Relaxed);
+    ctx.counters.table.add(names::SERVER_JOURNAL_REPLAYS, 1);
     ctx.stats
         .recovery_latency
         .lock()

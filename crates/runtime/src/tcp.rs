@@ -42,13 +42,16 @@ use crate::fault::CrashConfig;
 use crate::shard::{ExecMsg, ShardConfig, ShardPool, ShardSenders, StatsInner};
 use crate::wire::{read_frame, write_frame, Request, Response, WIRE_VERSION};
 use hps_ir::{ComponentId, FragLabel, HiddenProgram, Value};
-use hps_telemetry::{metrics::names, Event, Histogram, MetricsSnapshot, RecorderHandle};
+use hps_telemetry::{
+    metrics::names, CounterTable, Event, Histogram, MetricsSnapshot, RecorderHandle,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -620,7 +623,9 @@ pub struct ChaosConfig {
     pub kill_per_mille: u32,
 }
 
-/// Snapshot of a [`SessionServer`]'s counters.
+/// Snapshot of a [`SessionServer`]'s counters: a view over
+/// [`SessionServerHandle::metrics`], each field read by its `hps_server_*`
+/// registry name.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ServerStats {
     /// Connections accepted.
@@ -651,30 +656,11 @@ pub struct ServerStats {
     pub journal_replays: u64,
 }
 
-impl ServerStats {
-    /// The counters as a telemetry snapshot under the `hps_server_*`
-    /// registry names — what `hps serve --metrics` exposes.
-    pub fn to_metrics(&self) -> MetricsSnapshot {
-        let mut m = MetricsSnapshot::new();
-        m.add(names::SERVER_CONNECTIONS, self.connections);
-        m.add(names::SERVER_SESSIONS, self.sessions);
-        m.add(names::SERVER_CALLS, self.calls);
-        m.add(names::SERVER_REPLAYS, self.replays);
-        m.add(names::SERVER_REPLAY_EVICTIONS, self.replay_evictions);
-        m.add(names::SERVER_CHAOS_KILLS, self.chaos_kills);
-        m.add(names::SERVER_VM_COMPILES, self.vm_compiles);
-        m.add(names::SERVER_VM_CACHE_HITS, self.vm_cache_hits);
-        m.add(names::SERVER_PANICS_CAUGHT, self.panics_caught);
-        m.add(names::SERVER_SHARD_RESTARTS, self.shard_restarts);
-        m.add(names::SERVER_JOURNAL_REPLAYS, self.journal_replays);
-        m
-    }
-}
-
 /// Remote control for a running [`SessionServer`]: read stats, stop it.
 #[derive(Clone, Debug)]
 pub struct SessionServerHandle {
     addr: SocketAddr,
+    counters: Arc<CounterTable>,
     stats: Arc<StatsInner>,
     stop: Arc<AtomicBool>,
 }
@@ -687,20 +673,20 @@ impl SessionServerHandle {
 
     /// Snapshot of the server's counters.
     pub fn stats(&self) -> ServerStats {
-        let shards = self.stats.shard_stats();
+        let m = self.metrics();
         ServerStats {
-            connections: self.stats.connections.load(Ordering::Relaxed),
-            sessions: self.stats.sessions.load(Ordering::Relaxed),
-            calls: self.stats.calls.load(Ordering::Relaxed),
-            replays: self.stats.replays.load(Ordering::Relaxed),
-            replay_evictions: self.stats.replay_evictions.load(Ordering::Relaxed),
-            chaos_kills: self.stats.chaos_kills.load(Ordering::Relaxed),
-            vm_compiles: shards.iter().map(|s| s.vm_compiles).sum(),
-            vm_cache_hits: shards.iter().map(|s| s.vm_cache_hits).sum(),
+            connections: m.counter(names::SERVER_CONNECTIONS),
+            sessions: m.counter(names::SERVER_SESSIONS),
+            calls: m.counter(names::SERVER_CALLS),
+            replays: m.counter(names::SERVER_REPLAYS),
+            replay_evictions: m.counter(names::SERVER_REPLAY_EVICTIONS),
+            chaos_kills: m.counter(names::SERVER_CHAOS_KILLS),
+            vm_compiles: m.counter(names::SERVER_VM_COMPILES),
+            vm_cache_hits: m.counter(names::SERVER_VM_CACHE_HITS),
             memo_hits: 0,
-            panics_caught: self.stats.panics_caught.load(Ordering::Relaxed),
-            shard_restarts: self.stats.shard_restarts.load(Ordering::Relaxed),
-            journal_replays: self.stats.journal_replays.load(Ordering::Relaxed),
+            panics_caught: m.counter(names::SERVER_PANICS_CAUGHT),
+            shard_restarts: m.counter(names::SERVER_SHARD_RESTARTS),
+            journal_replays: m.counter(names::SERVER_JOURNAL_REPLAYS),
         }
     }
 
@@ -751,28 +737,33 @@ impl SessionServerHandle {
 
     /// Enqueue-time queue-depth distribution across every shard.
     pub fn queue_depth(&self) -> Histogram {
-        self.stats.queue_depth_histogram()
+        self.stats
+            .queue_depth
+            .lock()
+            .expect("queue depth lock")
+            .clone()
     }
 
-    /// Full telemetry snapshot: the `hps_server_*` counters, the fragments
-    /// executed (`hps_fragments_total`) plus the
-    /// `hps_server_shard_queue_depth` histogram. Virtual cost and fragments
-    /// are summed across the shard executors.
+    /// Full telemetry snapshot: the `hps_server_*` counters and the
+    /// fragments executed (`hps_fragments_total`) — the connection threads'
+    /// counters merged with every shard's, VM-cache counts included — plus
+    /// the `hps_server_shard_queue_depth` and recovery-latency histograms.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut m = self.stats().to_metrics();
-        let shards = self.shard_stats();
-        m.add(
-            names::SERVER_COST_UNITS,
-            shards.iter().map(|s| s.cost_units).sum(),
-        );
-        m.add(names::FRAGMENTS, shards.iter().map(|s| s.fragments).sum());
+        let mut m = self.counters.snapshot();
+        for shard in self.stats.shard_metrics() {
+            m.merge(&shard);
+        }
         m.merge_histogram(names::SERVER_SHARD_QUEUE_DEPTH, &self.queue_depth());
         // Recovery latency is wall-clock (like the ShardStats nanos
         // fields): live-scrape only, never part of deterministic
         // snapshots — see OBSERVABILITY.md.
         m.merge_histogram(
             names::SERVER_RECOVERY_LATENCY,
-            &self.stats.recovery_latency_histogram(),
+            &self
+                .stats
+                .recovery_latency
+                .lock()
+                .expect("recovery latency lock"),
         );
         m
     }
@@ -800,6 +791,7 @@ pub struct SessionServer {
     journal_limit: usize,
     journal_dir: Option<PathBuf>,
     crash: Option<CrashConfig>,
+    counters: Arc<CounterTable>,
     stats: Arc<StatsInner>,
     stop: Arc<AtomicBool>,
 }
@@ -828,6 +820,7 @@ impl SessionServer {
             journal_limit: crate::journal::DEFAULT_JOURNAL_LIMIT,
             journal_dir: None,
             crash: None,
+            counters: Arc::new(CounterTable::new()),
             stats: Arc::new(StatsInner::default()),
             stop: Arc::new(AtomicBool::new(false)),
         })
@@ -909,6 +902,7 @@ impl SessionServer {
     pub fn handle(&self) -> Result<SessionServerHandle, RuntimeError> {
         Ok(SessionServerHandle {
             addr: self.local_addr()?,
+            counters: Arc::clone(&self.counters),
             stats: Arc::clone(&self.stats),
             stop: Arc::clone(&self.stop),
         })
@@ -984,8 +978,8 @@ impl SessionServer {
                 continue;
             }
             conn_index += 1;
-            self.stats.connections.fetch_add(1, Ordering::Relaxed);
-            let stats = Arc::clone(&self.stats);
+            self.counters.add(names::SERVER_CONNECTIONS, 1);
+            let counters = Arc::clone(&self.counters);
             let exec = pool.senders();
             let chaos = self
                 .chaos
@@ -1001,7 +995,7 @@ impl SessionServer {
             conns.push((
                 watch,
                 std::thread::spawn(move || {
-                    match serve_session_connection(stream, &exec, chaos, &stats) {
+                    match serve_session_connection(stream, &exec, chaos, &counters) {
                         Ok(served) => on_event(peer, &format!("served {served} calls")),
                         Err(e) => on_event(peer, &e.with_peer(peer).to_string()),
                     }
@@ -1054,61 +1048,25 @@ fn chaos_draw(chaos: &mut Option<(ChaosConfig, StdRng)>) -> ChaosAction {
 /// died mid-flight before giving up on the supervisor.
 const EXEC_RETRY_WAIT: Duration = Duration::from_secs(10);
 
-/// Forwards one sequenced unit to the owning shard and waits for the
-/// encoded response frame. If the executor dies mid-flight (the reply
-/// sender is dropped without an answer), the unit is re-sent to the
-/// supervisor's replacement executor: the respawned shard rebuilds the
-/// session from its journal, so the re-drive either executes the unit
-/// fresh or answers it from the rebuilt replay cache — exactly-once either
-/// way, and invisible to the client.
-fn exec_round_trip(
+/// Sends the message `msg` builds around a fresh reply sender to the
+/// session's shard and waits for the answer. If the executor dies
+/// mid-flight (the reply sender is dropped without an answer), the message
+/// is rebuilt and re-sent to the supervisor's replacement executor: the
+/// respawned shard rebuilds the session from its journal, so a re-driven
+/// unit either executes fresh or is answered from the rebuilt replay
+/// cache — exactly-once either way, and invisible to the client.
+fn exec_redrive<T>(
     exec: &ShardSenders,
     session: u64,
-    seq: u64,
-    calls: Arc<Vec<PendingCall>>,
-    batch: bool,
-) -> Result<Vec<u8>, RuntimeError> {
+    msg: impl Fn(Sender<T>) -> ExecMsg,
+) -> Result<T, RuntimeError> {
     let deadline = Instant::now() + EXEC_RETRY_WAIT;
     loop {
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        exec.send(
-            session,
-            ExecMsg::Seq {
-                session,
-                seq,
-                calls: Arc::clone(&calls),
-                batch,
-                reply: reply_tx,
-            },
-        )
-        .map_err(|_| RuntimeError::Channel("executor is gone".into()))?;
+        exec.send(session, msg(reply_tx))
+            .map_err(|_| RuntimeError::Channel("executor is gone".into()))?;
         match reply_rx.recv() {
-            Ok(bytes) => return Ok(bytes),
-            Err(_) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => return Err(RuntimeError::Channel("executor dropped a request".into())),
-        }
-    }
-}
-
-/// Forwards a `Hello` to the owning shard, re-driving across executor
-/// respawns like [`exec_round_trip`]. Returns the session's next expected
-/// sequence number.
-fn exec_hello(exec: &ShardSenders, session: u64) -> Result<u64, RuntimeError> {
-    let deadline = Instant::now() + EXEC_RETRY_WAIT;
-    loop {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        exec.send(
-            session,
-            ExecMsg::Hello {
-                session,
-                reply: reply_tx,
-            },
-        )
-        .map_err(|_| RuntimeError::Channel("executor is gone".into()))?;
-        match reply_rx.recv() {
-            Ok(next_seq) => return Ok(next_seq),
+            Ok(reply) => return Ok(reply),
             Err(_) if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -1136,7 +1094,7 @@ fn serve_session_connection(
     stream: TcpStream,
     exec: &ShardSenders,
     mut chaos: Option<(ChaosConfig, StdRng)>,
-    stats: &StatsInner,
+    counters: &CounterTable,
 ) -> Result<u64, RuntimeError> {
     stream
         .set_nodelay(true)
@@ -1151,7 +1109,7 @@ fn serve_session_connection(
     };
     let session = match Request::decode(&payload) {
         Ok(Request::Hello { version, session }) if version == WIRE_VERSION => {
-            let next_seq = exec_hello(exec, session)?;
+            let next_seq = exec_redrive(exec, session, |reply| ExecMsg::Hello { session, reply })?;
             Response::HelloAck {
                 version: WIRE_VERSION,
                 session,
@@ -1194,32 +1152,13 @@ fn serve_session_connection(
         if matches!(action, ChaosAction::KillBeforeExec) {
             // Drop the connection before the request reaches the executor:
             // the client's retransmit finds a fresh sequence.
-            stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
+            counters.add(names::SERVER_CHAOS_KILLS, 1);
             return Ok(served);
         }
         let kill_after = matches!(action, ChaosAction::KillAfterExec);
-        match req {
-            Request::SeqCall { seq, call } => {
-                let bytes = exec_round_trip(exec, session, seq, Arc::new(vec![call]), false)?;
-                served += 1;
-                if kill_after {
-                    // Executed and cached, but the response never leaves:
-                    // the retransmit must hit the replay cache.
-                    stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
-                    return Ok(served);
-                }
-                write_frame(&mut writer, &bytes)?;
-            }
-            Request::SeqBatch { seq, calls } => {
-                let n = calls.len() as u64;
-                let bytes = exec_round_trip(exec, session, seq, Arc::new(calls), true)?;
-                served += n;
-                if kill_after {
-                    stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
-                    return Ok(served);
-                }
-                write_frame(&mut writer, &bytes)?;
-            }
+        let (seq, calls, batch) = match req {
+            Request::SeqCall { seq, call } => (seq, vec![call], false),
+            Request::SeqBatch { seq, calls } => (seq, calls, true),
             Request::Release { component, key } => {
                 let _ = exec.send(
                     session,
@@ -1229,6 +1168,7 @@ fn serve_session_connection(
                         key,
                     },
                 );
+                continue;
             }
             Request::Shutdown => return Ok(served),
             Request::Hello { .. } => {
@@ -1238,7 +1178,23 @@ fn serve_session_connection(
                     "unexpected Hello on an open session".into(),
                 ));
             }
+        };
+        served += calls.len() as u64;
+        let calls = Arc::new(calls);
+        let bytes = exec_redrive(exec, session, |reply| ExecMsg::Seq {
+            session,
+            seq,
+            calls: Arc::clone(&calls),
+            batch,
+            reply,
+        })?;
+        if kill_after {
+            // Executed and cached, but the response never leaves: the
+            // retransmit must hit the replay cache.
+            counters.add(names::SERVER_CHAOS_KILLS, 1);
+            return Ok(served);
         }
+        write_frame(&mut writer, &bytes)?;
     }
 }
 

@@ -11,9 +11,10 @@ use hps_ir::{
     HiddenProgram, HiddenVar, LocalId, Place, Stmt, StmtKind, Ty, Value,
 };
 use hps_runtime::journal::truncate_tail;
-use hps_runtime::tcp::{RetryPolicy, SessionServer, SessionServerHandle, TcpChannel};
+use hps_runtime::tcp::{ChaosConfig, RetryPolicy, SessionServer, SessionServerHandle, TcpChannel};
+use hps_runtime::telemetry::metrics::names;
 use hps_runtime::wire::{read_frame, write_frame, Request, Response, WIRE_VERSION};
-use hps_runtime::{Channel, CrashConfig, FaultClass, RuntimeError};
+use hps_runtime::{Channel, CrashConfig, FaultClass, RuntimeError, ShardStats};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -105,18 +106,10 @@ fn injected_panics_are_invisible_to_the_client() {
         stats.journal_replays >= stats.panics_caught,
         "every caught panic rebuilds from the journal"
     );
-    // The recovery counters flow into the live metrics scrape.
-    let m = handle.metrics();
-    assert_eq!(
-        m.counter("hps_server_panics_caught_total"),
-        stats.panics_caught
-    );
-    assert_eq!(
-        m.counter("hps_server_journal_replays_total"),
-        stats.journal_replays
-    );
     assert!(
-        m.histogram("hps_server_recovery_latency_micros")
+        handle
+            .metrics()
+            .histogram("hps_server_recovery_latency_micros")
             .is_some_and(|h| h.count() == stats.journal_replays),
         "one recovery-latency sample per rebuild"
     );
@@ -190,32 +183,85 @@ fn unrecoverable_panic_poisons_only_the_session() {
 
 #[test]
 fn killed_shard_is_respawned_and_sessions_rebuild() {
-    let server = SessionServer::bind("127.0.0.1:0", accumulator_program()).expect("bind");
+    // A deliberate shard kill on top of every other fault that moves a
+    // counter: connection kills (reconnects, replays) and injected panics
+    // (rebuilds), over two shards.
+    let server = SessionServer::bind("127.0.0.1:0", accumulator_program())
+        .expect("bind")
+        .with_shards(2)
+        .with_chaos(ChaosConfig {
+            seed: 9,
+            kill_per_mille: 150,
+        })
+        .with_crash(CrashConfig {
+            seed: 4,
+            shard_kill_per_mille: 0,
+            panic_per_mille: 200,
+        });
     let handle = server.handle().expect("handle");
     let addr = handle.addr();
     let serve = std::thread::spawn(move || server.serve(|_, _| {}));
     let c = ComponentId::new(0);
     let l = FragLabel::new(0);
-    let mut chan =
-        TcpChannel::connect_reliable_with_session(addr, quick_policy(), 1).expect("connect");
-    for n in 1..=5i64 {
-        let r = chan.call(c, 1, l, &[Value::Int(n)]).expect("call");
-        assert_eq!(r.value, Value::Int(n * (n + 1) / 2));
-    }
-    // Crash drill: kill the only shard, wait for the supervisor.
+    // Sessions 1 and 2 live on different shards.
+    let mut chans: Vec<TcpChannel> = (1..=2)
+        .map(|s| {
+            TcpChannel::connect_reliable_with_session(addr, quick_policy(), s).expect("connect")
+        })
+        .collect();
+    let mut drive = |range: std::ops::RangeInclusive<i64>| {
+        for n in range {
+            for chan in &mut chans {
+                let r = chan.call(c, 1, l, &[Value::Int(n)]).expect("call");
+                assert_eq!(r.value, Value::Int(n * (n + 1) / 2), "call {n}");
+            }
+        }
+    };
+    drive(1..=15);
+    // Crash drill: kill shard 0, wait for the supervisor.
     handle.kill_shard(0);
     wait_for(&handle, |h| h.stats().shard_restarts >= 1);
     // The session's hidden accumulator survives via journal replay.
-    for n in 6..=10i64 {
-        let r = chan.call(c, 1, l, &[Value::Int(n)]).expect("call");
-        assert_eq!(r.value, Value::Int(n * (n + 1) / 2), "after respawn");
+    drive(16..=30);
+    for chan in chans {
+        assert_eq!(chan.interactions(), 30);
+        chan.shutdown().expect("shutdown");
     }
-    assert_eq!(chan.interactions(), 10);
     let stats = handle.stats();
-    assert!(stats.shard_restarts >= 1);
+    assert_eq!(stats.calls, 60, "exactly-once across every fault");
+    assert_eq!(stats.sessions, 2);
+    assert!(
+        stats.chaos_kills > 0 && stats.panics_caught > 0,
+        "faults must fire"
+    );
     assert!(stats.journal_replays >= 1, "rebuild must come from replay");
-    assert_eq!(stats.calls, 10, "exactly-once across the respawn");
-    chan.shutdown().expect("shutdown");
+    // Every view reads the same live counters.
+    let m = handle.metrics();
+    for (field, name) in [
+        (stats.connections, names::SERVER_CONNECTIONS),
+        (stats.sessions, names::SERVER_SESSIONS),
+        (stats.calls, names::SERVER_CALLS),
+        (stats.replays, names::SERVER_REPLAYS),
+        (stats.replay_evictions, names::SERVER_REPLAY_EVICTIONS),
+        (stats.chaos_kills, names::SERVER_CHAOS_KILLS),
+        (stats.vm_compiles, names::SERVER_VM_COMPILES),
+        (stats.vm_cache_hits, names::SERVER_VM_CACHE_HITS),
+        (stats.memo_hits, names::SERVER_MEMO_HITS),
+        (stats.panics_caught, names::SERVER_PANICS_CAUGHT),
+        (stats.shard_restarts, names::SERVER_SHARD_RESTARTS),
+        (stats.journal_replays, names::SERVER_JOURNAL_REPLAYS),
+    ] {
+        assert_eq!(
+            field,
+            m.counter(name),
+            "stats() and metrics() disagree on {name}"
+        );
+    }
+    let shards = handle.shard_stats();
+    let sum = |f: fn(&ShardStats) -> u64| shards.iter().map(f).sum::<u64>();
+    assert_eq!(stats.calls, sum(|s| s.calls));
+    assert_eq!(stats.sessions, sum(|s| s.sessions));
+    assert_eq!(stats.shard_restarts, sum(|s| s.restarts));
     handle.stop();
     serve.join().expect("join").expect("serve");
 }

@@ -1,10 +1,10 @@
-//! A minimal JSON document builder for `hps-telemetry/v1` snapshots.
+//! A minimal JSON document builder, shared by the `hps-telemetry/v1`
+//! snapshots and the auditor's reports (plain JSON and SARIF).
 //!
-//! Same rationale and layout rules as the `hps-audit` report writer: the
-//! build is offline (no serde), object keys keep insertion order, and the
-//! writer emits a stable two-space-indented layout so golden metric
-//! snapshots diff byte-for-byte. Telemetry counters are `u64`, so this
-//! builder carries an unsigned variant the audit writer does not need.
+//! The build is offline, so the workspace carries no JSON dependency.
+//! Output is deterministic: object keys keep insertion order and the writer
+//! emits a stable two-space-indented layout, so golden files diff
+//! byte-for-byte.
 
 use std::fmt::Write;
 
@@ -13,6 +13,10 @@ use std::fmt::Write;
 pub enum Json {
     /// `null`
     Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A signed integer (audit counts and positions).
+    Int(i64),
     /// An unsigned number (counters, cost units, bucket bounds).
     Uint(u64),
     /// A string.
@@ -60,6 +64,12 @@ impl Json {
         let close = "  ".repeat(indent);
         match self {
             Json::Null => out.push_str("null"),
+            Json::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Json::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
             Json::Uint(v) => {
                 let _ = write!(out, "{v}");
             }
@@ -97,6 +107,30 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<i64> for Json {
+    fn from(v: i64) -> Json {
+        Json::Int(v)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Int(v as i64)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(v: u32) -> Json {
+        Json::Int(i64::from(v))
     }
 }
 
@@ -152,13 +186,16 @@ mod tests {
             .field("schema", "hps-telemetry/v1")
             .field("count", 2u64)
             .field("big", u64::MAX)
+            .field("ok", true)
+            .field("signed", -3i64)
             .field("items", vec![Json::Uint(1), Json::str("two")])
             .field("empty", Json::Array(Vec::new()))
             .field("nothing", Json::Null);
         assert_eq!(
             doc.pretty(),
             "{\n  \"schema\": \"hps-telemetry/v1\",\n  \"count\": 2,\n  \
-             \"big\": 18446744073709551615,\n  \
+             \"big\": 18446744073709551615,\n  \"ok\": true,\n  \
+             \"signed\": -3,\n  \
              \"items\": [\n    1,\n    \"two\"\n  ],\n  \"empty\": [],\n  \
              \"nothing\": null\n}\n"
         );
@@ -168,5 +205,18 @@ mod tests {
     fn escapes_strings() {
         let doc = Json::str("a\"b\\c\nd\te\u{1}");
         assert_eq!(doc.pretty(), "\"a\\\"b\\\\c\\nd\\te\\u0001\"\n");
+    }
+
+    #[test]
+    fn output_is_deterministic() {
+        let build = || {
+            Json::object()
+                .field("z", 1usize)
+                .field("a", 2usize)
+                .pretty()
+        };
+        assert_eq!(build(), build());
+        // Insertion order is preserved, not sorted.
+        assert!(build().find("\"z\"").unwrap() < build().find("\"a\"").unwrap());
     }
 }

@@ -35,6 +35,9 @@
 //! * [`MetricsSnapshot`] — ordered counters + histograms with lossless
 //!   [`MetricsSnapshot::merge`], Prometheus text rendering and a stable
 //!   hand-rolled JSON encoding.
+//! * [`CounterTable`] — one atomic per registered counter, for threaded
+//!   code a [`Recorder`] cannot reach (the session server's shards and
+//!   connection threads); snapshots into a [`MetricsSnapshot`].
 //! * [`Recorder`] / [`Event`] / [`RecorderHandle`] — the pluggable hook the
 //!   runtime threads through its interpreter, channels, servers and fault
 //!   injectors; [`MetricsRecorder`] is the standard counters+histograms
@@ -53,7 +56,7 @@ pub mod snapshot;
 pub mod transport;
 
 pub use hist::Histogram;
-pub use metrics::MetricsSnapshot;
+pub use metrics::{CounterTable, MetricsSnapshot};
 pub use recorder::{Event, MetricsRecorder, Recorder, RecorderHandle};
 pub use snapshot::{Snapshot, SCHEMA};
 pub use transport::TransportStats;

@@ -1,17 +1,19 @@
-//! The metric name registry and the counters+histograms snapshot.
+//! The metric name registry, the counters+histograms snapshot and the
+//! thread-safe counter table.
 //!
 //! Names form a *closed* registry: every metric the workspace can emit is a
 //! constant in [`names`], listed in [`ALL_COUNTERS`] / [`ALL_HISTOGRAMS`],
 //! documented in `docs/OBSERVABILITY.md` and mirrored one-per-line in
-//! `docs/metrics-registry.txt` (the CI reliability matrix diffs a live
-//! `hps serve --metrics` scrape against that file). Recording to a name
-//! outside the registry panics in debug builds, so a new metric cannot ship
-//! without updating the registry — and the registry-sync unit test keeps
-//! the checked-in file honest.
+//! `docs/metrics-registry.txt` (CI diffs a live `hps serve --metrics`
+//! scrape against that file). Recording to a name outside the registry
+//! panics in debug builds, so a new metric cannot ship without updating
+//! the registry — and the registry-sync unit test keeps the checked-in
+//! file honest.
 
 use crate::hist::Histogram;
 use crate::json::Json;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Registered metric names. `*_total` names are monotonic counters; the
 /// rest are histograms.
@@ -160,6 +162,60 @@ fn assert_registered(name: &'static str, registry: &[&str], kind: &str) {
         "`{name}` is not a registered {kind}; add it to hps-telemetry's \
          registry, docs/OBSERVABILITY.md and docs/metrics-registry.txt"
     );
+}
+
+/// One relaxed `AtomicU64` per registered counter: the `Send + Sync`
+/// counterpart of [`MetricsSnapshot`]'s counters for threaded code (the
+/// session server's shards and connection threads), where a [`Recorder`]
+/// cannot reach.
+///
+/// The counts publish no other data, so every access is `Relaxed`.
+///
+/// [`Recorder`]: crate::Recorder
+#[derive(Debug)]
+pub struct CounterTable {
+    counts: [AtomicU64; ALL_COUNTERS.len()],
+}
+
+impl Default for CounterTable {
+    fn default() -> CounterTable {
+        CounterTable::new()
+    }
+}
+
+impl CounterTable {
+    /// A table with every registered counter at zero.
+    pub fn new() -> CounterTable {
+        CounterTable {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    /// Adds `delta` to a registered counter. An unregistered name panics in
+    /// debug builds and is dropped in release builds.
+    pub fn add(&self, name: &'static str, delta: u64) {
+        // A linear scan: `==` rejects most names on their length alone, so
+        // it beats the string comparisons of a binary search.
+        match ALL_COUNTERS.iter().position(|&n| n == name) {
+            Some(i) => {
+                self.counts[i].fetch_add(delta, Ordering::Relaxed);
+            }
+            None => assert_registered(name, ALL_COUNTERS, "counter"),
+        }
+    }
+
+    /// The current counts; counters still at zero are left out, as in a
+    /// snapshot nothing was added to.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut m = MetricsSnapshot::new();
+        for (name, count) in ALL_COUNTERS.iter().zip(&self.counts) {
+            let v = count.load(Ordering::Relaxed);
+            if v > 0 {
+                m.add(name, v);
+            }
+        }
+        m
+    }
 }
 
 /// A deterministic bag of counters and histograms.
@@ -368,5 +424,32 @@ mod tests {
     #[cfg(debug_assertions)]
     fn unregistered_names_panic_in_debug() {
         MetricsSnapshot::new().inc("hps_bogus_total");
+    }
+
+    #[test]
+    fn counter_table_snapshot_matches_the_same_adds() {
+        let adds = [
+            (names::SERVER_CALLS, 3),
+            (names::FRAGMENTS, 3),
+            (names::SERVER_CALLS, 4),
+            (names::BATCHES, 1),
+            (names::TRACE_EVENTS, u64::MAX),
+        ];
+        let table = CounterTable::new();
+        let mut expected = MetricsSnapshot::new();
+        for (name, delta) in adds {
+            table.add(name, delta);
+            expected.add(name, delta);
+        }
+        assert_eq!(table.snapshot(), expected);
+        assert_eq!(table.snapshot().counter(names::SERVER_CALLS), 7);
+        assert!(CounterTable::new().snapshot().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a registered counter")]
+    #[cfg(debug_assertions)]
+    fn counter_table_panics_on_unregistered_names_in_debug() {
+        CounterTable::new().add("hps_bogus_total", 1);
     }
 }

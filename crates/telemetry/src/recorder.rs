@@ -161,8 +161,8 @@ impl Recorder for MetricsRecorder {
 /// This is what instrumented structs store: default (disabled) costs one
 /// `Option` branch per hook and allocates nothing. `Rc` (not `Arc`)
 /// because recording stays on the thread that runs the open program —
-/// threaded servers aggregate through atomics instead (see
-/// `hps-runtime::tcp::ServerStats`).
+/// threaded servers count into a [`CounterTable`](crate::CounterTable)
+/// instead.
 #[derive(Clone, Default)]
 pub struct RecorderHandle(Option<Rc<dyn Recorder>>);
 

@@ -1,6 +1,6 @@
 //! Keeps `docs/metrics-registry.txt` in lockstep with the compiled-in
-//! registry. The CI reliability matrix diffs live `hps serve --metrics`
-//! scrapes against that file, so a drift here would make CI lie.
+//! registry. CI diffs live `hps serve --metrics` scrapes against that
+//! file, so a drift here would make CI lie.
 
 use hps_telemetry::metrics::{ALL_COUNTERS, ALL_HISTOGRAMS};
 use std::path::PathBuf;
