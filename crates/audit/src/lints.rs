@@ -14,7 +14,8 @@ use crate::diag::{self, Diagnostic};
 use crate::flow::OpenFlow;
 use crate::fragment::FragmentFacts;
 use hps_analysis::{
-    vars::stmt_effect, CallGraph, Cfg, DefUse, Effect, ModRef, ReachingDefs, StructInfo, VarId,
+    vars::stmt_effect, CallGraph, Cfg, DefUse, Effect, FragmentEffects, ModRef, ReachingDefs,
+    StructInfo, VarId,
 };
 use hps_core::SplitResult;
 use hps_ir::{ComponentId, FragLabel, FuncId, Function, Program, Stmt, StmtKind};
@@ -426,13 +427,14 @@ fn check_fragment_usage(input: &LintInput<'_>, sink: &mut Sink) {
 }
 
 /// `memoizable_fragment` + `nondeterministic_hidden_fragment`: surface the
-/// effect summaries stamped onto the split. The outcome of a `Pure`
+/// fragment effect summaries of the hidden program. The outcome of a `Pure`
 /// fragment is a pure function of its arguments; `MayTrap` fragments
 /// carry trap/nondeterminism sources, so theirs is not.
 fn check_fragment_effects(input: &LintInput<'_>, sink: &mut Sink) {
+    let effects = FragmentEffects::compute(&input.split.hidden);
     for (ci, component) in input.split.hidden.components.iter().enumerate() {
         for (pos, fragment) in component.fragments.iter().enumerate() {
-            let Some(effect) = input.split.effects.effect(ci, pos) else {
+            let Some(effect) = effects.effect(ci, pos) else {
                 continue;
             };
             match effect {
@@ -546,7 +548,6 @@ fn var_name(program: &Program, func: FuncId, v: VarId) -> String {
 
 #[cfg(test)]
 mod tests {
-    use hps_analysis::FragmentEffects;
     use hps_core::{split_program, SplitPlan};
     use hps_ir::{Block, Expr};
 
@@ -567,7 +568,6 @@ mod tests {
         let fragment = &mut split.hidden.components[0].fragments[0];
         fragment.body = Block::of(vec![]);
         fragment.ret = Some(Expr::int(7));
-        split.effects = FragmentEffects::compute(&split.hidden);
 
         let report = crate::audit_split(&program, &split);
         let pure: Vec<_> = report

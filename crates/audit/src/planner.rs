@@ -161,12 +161,6 @@ impl PlanReport {
         self
     }
 
-    /// Builder setter for [`PlanReport::measured`].
-    pub fn with_measured(mut self, measured: Option<MeasuredCost>) -> PlanReport {
-        self.measured = measured;
-        self
-    }
-
     /// The overhead percentage the budget verdict is based on: measured
     /// when a measurer ran, otherwise predicted.
     pub fn overhead_percent(&self) -> f64 {

@@ -144,9 +144,9 @@ pub fn effects_to_json(
     split: &hps_core::SplitResult,
     program: &str,
 ) -> Json {
-    use hps_analysis::{CallGraph, Effect, EffectAnalysis, ModRef};
+    use hps_analysis::{CallGraph, Effect, EffectAnalysis, FragmentEffects, ModRef};
 
-    let effects = &split.effects;
+    let effects = &FragmentEffects::compute(&split.hidden);
     let fragments: Vec<Json> = split
         .hidden
         .components
@@ -203,7 +203,7 @@ pub fn effects_to_json(
                 .field("reads_hidden", effects.count(Effect::ReadsHidden))
                 .field("writes_hidden", effects.count(Effect::WritesHidden))
                 .field("may_trap", effects.count(Effect::MayTrap))
-                .field("memoizable", split.memoizable_fragments())
+                .field("memoizable", effects.count(Effect::Pure))
                 .field("fixpoint_iterations", ea.iterations()),
         )
         .field("fragments", Json::Array(fragments))

@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run --release -p hps-bench --bin tables            # all tables
 //! cargo run --release -p hps-bench --bin tables -- table3  # one table
-//! cargo run --release -p hps-bench --bin tables -- --quick # scaled-down
 //! ```
 //!
 //! Subcommands: `table1 table2 table3 table4 table5 attack
@@ -13,16 +12,28 @@ use hps_bench::*;
 use hps_core::{split_program, SplitPlan};
 use hps_security::analyze_split;
 
+const TABLES: [&str; 8] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "attack",
+    "ablation-promotion",
+    "ablation-selection",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let which: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
+    let which: Vec<&str> = args.iter().map(String::as_str).collect();
+    if let Some(bad) = which.iter().find(|w| !TABLES.contains(w)) {
+        eprintln!(
+            "tables: unknown table `{bad}`; expected one of: {}",
+            TABLES.join(" ")
+        );
+        std::process::exit(2);
+    }
     let all = which.is_empty();
-    let scale = if quick { 20 } else { 1 };
 
     let want = |name: &str| all || which.contains(&name);
 
@@ -39,16 +50,16 @@ fn main() {
         table4();
     }
     if want("table5") {
-        table5(scale);
+        table5();
     }
     if want("attack") {
-        attack(if quick { 8 } else { 24 }, if quick { 200 } else { 400 });
+        attack(24, 400);
     }
     if want("ablation-promotion") {
         ablation_promotion();
     }
     if want("ablation-selection") {
-        ablation_selection(scale);
+        ablation_selection();
     }
 }
 
@@ -142,7 +153,7 @@ fn table4() {
     println!();
 }
 
-fn table5(scale: usize) {
+fn table5() {
     println!("Table 5. Runtime overhead caused by software splitting (virtual time, LAN RTT).");
     println!(
         "{:<10} {:<8} {:<12} {:>8} {:>13} {:>10} {:>12} {:>12} {:>12} {:>10} {:>17}",
@@ -158,7 +169,7 @@ fn table5(scale: usize) {
         "% increase",
         "open/rtt/server"
     );
-    for r in table5_rows(scale) {
+    for r in table5_rows(1) {
         // Telemetry-derived breakdown of the split run's critical path.
         let (open_pct, rtt_pct, server_pct) = r.breakdown_percent();
         println!(
@@ -236,7 +247,7 @@ fn ablation_promotion() {
     println!();
 }
 
-fn ablation_selection(scale: usize) {
+fn ablation_selection() {
     println!("Ablation: call-graph-cut selection vs splitting every eligible function.");
     println!(
         "{:<10} {:>12} {:>12} {:>15} {:>15}",
@@ -260,7 +271,7 @@ fn ablation_selection(scale: usize) {
                 })
                 .collect(),
         );
-        let size = (b.workloads()[0].1 / scale.max(1)).clamp(30, 2000);
+        let size = b.workloads()[0].1.clamp(30, 2000);
         let split_cut = split_program(&program, &cut_plan).expect("splits");
         let split_all = split_program(&program, &all_plan).expect("splits");
         let calls_cut = hps_runtime::Executor::new(&split_cut.open, &split_cut.hidden)

@@ -9,8 +9,8 @@
 //! * **Table 3** — arithmetic complexity of ILPs ([`table3_rows`]).
 //! * **Table 4** — control-flow complexity of ILPs ([`table4_rows`]).
 //! * **Table 5** — runtime overhead in deterministic virtual time
-//!   ([`table5_rows`]); the Criterion bench `runtime_overhead` cross-checks
-//!   with wall-clock time.
+//!   ([`table5_rows`]); `perfbench`'s `inproc_suite` workload cross-checks
+//!   it in wall-clock time (`overhead.wall_pct.<program>`).
 //! * **Attack table** — recovery outcomes per ILP class (not in the paper
 //!   as a table, but §3's central claim) ([`attack_rows`]).
 //!
@@ -20,8 +20,8 @@ use hps_core::{split_program, SplitPlan, SplitResult};
 use hps_ir::Program;
 use hps_runtime::telemetry::metrics::names;
 use hps_runtime::{
-    run_function, run_program, Channel, ExecConfig, Executor, InProcessChannel, Interp,
-    MetricsRecorder, RtValue, SecureServer, SplitMeta, Trace, TraceChannel,
+    run_program, Channel, ExecConfig, Executor, InProcessChannel, Interp, MetricsRecorder,
+    SecureServer, SplitMeta, Trace, TraceChannel,
 };
 use hps_security::{analyze_split, SecurityReport};
 use hps_suite::{benchmarks, Benchmark};
@@ -276,7 +276,7 @@ impl Table5Row {
 
 /// Computes Table 5 (runtime overhead) in deterministic virtual time with
 /// a LAN-like round trip per interaction. `scale` divides workload sizes
-/// (pass 1 for the full experiment, 10 for a quick run).
+/// (pass 1 for the full experiment; the unit tests pass 40).
 pub fn table5_rows(scale: usize) -> Vec<Table5Row> {
     let scale = scale.max(1);
     let mut rows = Vec::new();
@@ -399,14 +399,6 @@ pub fn record_trace(b: &Benchmark, split: &SplitResult, runs: usize, size: usize
 /// Formats a virtual-seconds value like the paper ("2.13 sec").
 pub fn fmt_seconds(s: f64) -> String {
     format!("{s:.2} sec")
-}
-
-/// Convenience: runs `main` of a program once and returns its virtual cost
-/// (used by the Criterion benches).
-pub fn virtual_cost(program: &Program, input: RtValue) -> u64 {
-    run_function(program, "main", &[input], ExecConfig::new())
-        .expect("runs")
-        .cost
 }
 
 #[cfg(test)]

@@ -63,8 +63,8 @@ fn recorder_never_perturbs_virtual_quantities() {
 /// workload — i.e. `RecorderHandle::record` with a `None` handle is a
 /// single branch, not hidden work.
 ///
-/// A true before/after-PR comparison needs a stored Criterion baseline;
-/// in-binary, the strongest executable claim is directional: recording
+/// A true before/after comparison needs a stored baseline run; in-binary,
+/// the strongest executable claim is directional: recording
 /// strictly adds work (event construction + counter/histogram updates),
 /// so the disabled arm must come in at or below the enabled arm. If the
 /// hooks ever leak eager work into the disabled path (e.g. building
@@ -72,10 +72,10 @@ fn recorder_never_perturbs_virtual_quantities() {
 /// this trips. The 2% allowance absorbs timer noise only.
 ///
 /// This is inherently a timing test, so it is `#[ignore]`d by default and
-/// exercised by the CI reliability job via
-/// `cargo test -p hps-bench --release -- --ignored`.
+/// exercised by the CI `Build & test` job via
+/// `cargo test --release -p hps-bench --test recorder_guard -- --include-ignored`.
 #[test]
-#[ignore = "wall-clock guard; run with --release -- --ignored (CI reliability job)"]
+#[ignore = "wall-clock guard; run with --release -- --ignored (CI Build & test job)"]
 fn disabled_recorder_is_zero_cost() {
     let b = hps_suite::benchmarks()
         .into_iter()

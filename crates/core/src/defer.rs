@@ -36,7 +36,7 @@ use hps_analysis::cfg::Cfg;
 use hps_analysis::reaching::{DefUse, ReachingDefs};
 use hps_analysis::vars::VarId;
 use hps_analysis::ModRef;
-use hps_ir::{Block, Expr, FuncId, Function, Place, Program, Stmt, StmtId, StmtKind};
+use hps_ir::{Block, Expr, FuncId, Place, Program, Stmt, StmtId, StmtKind};
 use std::collections::HashSet;
 
 /// What the pass did to one open program.
@@ -48,37 +48,6 @@ pub struct DeferStats {
     pub deferred_calls: usize,
     /// Dead result places dropped (the call became update-only).
     pub dead_results_dropped: usize,
-}
-
-impl DeferStats {
-    /// The hidden calls of `func` and how many of them are already marked
-    /// deferred, without re-deriving any mark (no dead results dropped).
-    pub(crate) fn count(func: &Function) -> DeferStats {
-        let mut stats = DeferStats::default();
-        hps_ir::visit::for_each_stmt(&func.body, &mut |s| {
-            if let StmtKind::HiddenCall { deferred, .. } = &s.kind {
-                stats.total_calls += 1;
-                stats.deferred_calls += usize::from(*deferred);
-            }
-        });
-        stats
-    }
-
-    /// Adds `other`'s counts to these.
-    pub(crate) fn add(&mut self, other: DeferStats) {
-        self.total_calls += other.total_calls;
-        self.deferred_calls += other.deferred_calls;
-        self.dead_results_dropped += other.dead_results_dropped;
-    }
-
-    /// Fraction of hidden-call sites that a batching runtime may coalesce.
-    pub fn deferred_fraction(&self) -> f64 {
-        if self.total_calls == 0 {
-            0.0
-        } else {
-            self.deferred_calls as f64 / self.total_calls as f64
-        }
-    }
 }
 
 /// Marks deferrable hidden calls in the functions `funcs` of a freshly
@@ -301,13 +270,13 @@ mod tests {
         let split = split_program(&program, &plan).unwrap();
         // The set call inside `add` has no result: deferrable. The final
         // fetch feeding print() is demanded.
-        assert!(split.defer.total_calls >= 2);
+        let flags = deferred_flags(&split.open);
+        assert!(flags.len() >= 2);
         assert!(
-            split.defer.deferred_calls >= 1,
-            "update-only set calls must be deferrable: {:?}",
-            split.defer
+            flags.iter().any(|&b| b),
+            "update-only set calls must be deferrable: {flags:?}"
         );
-        assert!(split.defer.deferred_calls < split.defer.total_calls);
+        assert!(!flags.iter().all(|&b| b));
     }
 
     #[test]
@@ -351,11 +320,19 @@ mod tests {
         let plan = SplitPlan::global(&program, "g").unwrap();
         let split = split_program(&program, &plan).unwrap();
         let flags = deferred_flags(&split.open);
-        assert_eq!(split.defer.total_calls, flags.len());
-        assert_eq!(
-            split.defer.deferred_calls,
-            flags.iter().filter(|&&b| b).count()
-        );
+        // A fresh pass over the unmarked split reports the marks it makes.
+        let mut fresh = split.open.clone();
+        for &fid in &split.changed_funcs {
+            hps_ir::visit::for_each_stmt_mut(&mut fresh.func_mut(fid).body, &mut |s| {
+                if let StmtKind::HiddenCall { deferred, .. } = &mut s.kind {
+                    *deferred = false;
+                }
+            });
+        }
+        let stats = mark_deferrable(&mut fresh, &split.changed_funcs);
+        assert_eq!(fresh, split.open);
+        assert_eq!(stats.total_calls, flags.len());
+        assert_eq!(stats.deferred_calls, flags.iter().filter(|&&b| b).count());
     }
 
     #[test]
@@ -366,9 +343,11 @@ mod tests {
         let program = hps_lang::parse(src).unwrap();
         let plan = SplitPlan::global(&program, "g").unwrap();
         let mut split = split_program(&program, &plan).unwrap();
-        let first = split.defer;
+        let first = split.open.clone();
+        let flags = deferred_flags(&first);
         let again = mark_deferrable(&mut split.open, &split.changed_funcs);
-        assert_eq!(first.total_calls, again.total_calls);
-        assert_eq!(first.deferred_calls, again.deferred_calls);
+        assert_eq!(first, split.open, "re-marking changed the program");
+        assert_eq!(again.total_calls, flags.len());
+        assert_eq!(again.deferred_calls, flags.iter().filter(|&&b| b).count());
     }
 }

@@ -48,12 +48,11 @@
 //! every weak warning was actually downgraded to its `masked_weak_ilp`
 //! note.
 //!
-//! After the rewrite the pass re-runs the post-split pipeline: statement
-//! renumbering, the deferrable-call analysis (a decoded call's result is
-//! read immediately, so such calls lose their deferred mark) and the
-//! fragment effect analysis.
+//! After the rewrite the pass re-runs the post-split pipeline on the
+//! functions it rewrote: statement renumbering and the deferrable-call
+//! analysis (a decoded call's result is read immediately, so such calls
+//! lose their deferred mark).
 
-use crate::defer::DeferStats;
 use crate::result::{HardenKind, SplitResult};
 use hps_ir::{Block, Builtin, ComponentId, Expr, FragLabel, FuncId, Place, Stmt, StmtKind, Ty};
 use std::collections::BTreeSet;
@@ -127,24 +126,17 @@ pub fn harden_split(split: &mut SplitResult, weak: &[(ComponentId, FragLabel)]) 
         // Re-run the post-split pipeline: fresh statement ids and a fresh
         // deferrable-call analysis (decode statements demand results
         // immediately, invalidating earlier marks) for the functions the
-        // rewrite touched, and fresh effects. Every other function keeps
-        // its marks, which a fresh analysis would re-derive unchanged: the
-        // rewrite reads only parameters and writes only places the calls
-        // already defined, so no other function's facts move.
+        // rewrite touched. Every other function keeps its marks, which a
+        // fresh analysis would re-derive unchanged: the rewrite reads only
+        // parameters and writes only places the calls already defined, so
+        // no other function's facts move.
         let rewritten: Vec<FuncId> = rewritten.into_iter().collect();
         for &fid in &rewritten {
             let func = split.open.func_mut(fid);
             reset_deferred(func);
             func.renumber();
         }
-        let mut defer = crate::defer::mark_deferrable(&mut split.open, &rewritten);
-        for &fid in &split.changed_funcs {
-            if rewritten.binary_search(&fid).is_err() {
-                defer.add(DeferStats::count(split.open.func(fid)));
-            }
-        }
-        split.defer = defer;
-        split.effects = hps_analysis::FragmentEffects::compute(&split.hidden);
+        crate::defer::mark_deferrable(&mut split.open, &rewritten);
     }
     report
 }

@@ -69,12 +69,6 @@ impl SplitPlan {
         self
     }
 
-    /// Replaces the target list (builder setter).
-    pub fn with_targets(mut self, targets: Vec<SplitTarget>) -> SplitPlan {
-        self.targets = targets;
-        self
-    }
-
     /// Sets control-flow promotion (builder setter;
     /// [`SplitPlan::without_promotion`] is the common shorthand).
     pub fn with_promotion(mut self, promote: bool) -> SplitPlan {

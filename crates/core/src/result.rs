@@ -1,7 +1,5 @@
 //! Split results and per-function reports.
 
-use crate::defer::DeferStats;
-use hps_analysis::effects::{Effect, FragmentEffects};
 use hps_analysis::VarId;
 use hps_ir::{ComponentId, Expr, FragLabel, FuncId, HiddenProgram, Program, StmtId};
 use hps_slicing::SlicePlan;
@@ -117,24 +115,12 @@ pub struct SplitResult {
     /// the program the split was made from, and only these functions
     /// contain hidden calls.
     pub changed_funcs: Vec<FuncId>,
-    /// What the deferrable-call pass marked (round-trip coalescing).
-    pub defer: DeferStats,
-    /// Per-fragment effect summaries (`hps-analysis::effects`): which
-    /// fragments are provably pure (a function of their arguments), which
-    /// read or write hidden state, and which may trap.
-    pub effects: FragmentEffects,
 }
 
 impl SplitResult {
     /// Total ILPs across all reports.
     pub fn total_ilps(&self) -> usize {
         self.reports.iter().map(|r| r.ilps.len()).sum()
-    }
-
-    /// Number of fragments the effect analysis proves pure (the
-    /// `memoizable` count of effect reports).
-    pub fn memoizable_fragments(&self) -> usize {
-        self.effects.count(Effect::Pure)
     }
 
     /// Total slice statements across all reports (Table 2).

@@ -60,11 +60,10 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
 }
 
 /// [`split_program`] with an early veto: `keep` sees the rewritten split
-/// before the deferrable-call pass and the effect analysis run (its
-/// `defer` and `effects` are still the defaults), and `Ok(None)` is
-/// returned when it declines. A caller that rejects most splits on the
-/// rewritten open code alone (the cost-restricted seed rule) skips those
-/// two passes for the splits it rejects.
+/// before the deferrable-call pass runs (no call is marked deferred yet),
+/// and `Ok(None)` is returned when it declines. A caller that rejects most
+/// splits on the rewritten open code alone (the cost-restricted seed rule)
+/// skips that pass for the splits it rejects.
 ///
 /// The open program shares every function the plan does not rewrite with
 /// `program`; [`SplitResult::changed_funcs`] lists the rewritten ones.
@@ -244,16 +243,13 @@ pub fn split_program_if(
         hidden,
         reports,
         changed_funcs,
-        ..SplitResult::default()
     };
     if !keep(&split) {
         return Ok(None);
     }
     // Round-trip coalescing: mark hidden calls whose replies no open
     // statement demands before the next flush point (see `crate::defer`).
-    split.defer = crate::defer::mark_deferrable(&mut split.open, &split.changed_funcs);
-    // Effect/purity summaries for the audit lints and effect reports.
-    split.effects = hps_analysis::FragmentEffects::compute(&split.hidden);
+    crate::defer::mark_deferrable(&mut split.open, &split.changed_funcs);
     Ok(Some(split))
 }
 

@@ -420,7 +420,6 @@ fn batching_strictly_drops_interactions_for_update_loops() {
     let program = hps_lang::parse(src).unwrap();
     let plan = SplitPlan::global(&program, "total").unwrap();
     let split = split_program(&program, &plan).unwrap();
-    assert!(split.defer.deferred_calls >= 1, "{:?}", split.defer);
     let demand = Executor::new(&split.open, &split.hidden)
         .run(&[])
         .expect("runs");

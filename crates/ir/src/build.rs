@@ -98,11 +98,6 @@ impl FnBuilder {
         });
     }
 
-    /// `if (cond) { then_body(...) }`
-    pub fn if_then(&mut self, cond: Expr, then_body: impl FnOnce(&mut FnBuilder)) {
-        self.if_else(cond, then_body, |_| {});
-    }
-
     /// `if (cond) { then_body(...) } else { else_body(...) }`
     pub fn if_else(
         &mut self,
@@ -131,11 +126,6 @@ impl FnBuilder {
     /// `print(expr);`
     pub fn print(&mut self, expr: Expr) {
         self.push(StmtKind::Print(expr));
-    }
-
-    /// An expression statement (a call for its side effects).
-    pub fn expr_stmt(&mut self, expr: Expr) {
-        self.push(StmtKind::ExprStmt(expr));
     }
 
     /// Finishes the function: installs the body and numbers the statements.

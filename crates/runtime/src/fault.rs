@@ -47,28 +47,13 @@ impl FaultKind {
         FaultKind::Truncate,
     ];
 
-    /// Stable lowercase name (the `FromStr` spelling, also used as the
-    /// telemetry fault-kind label).
+    /// Stable lowercase name, also used as the telemetry fault-kind label.
     pub fn as_str(&self) -> &'static str {
         match self {
             FaultKind::Drop => "drop",
             FaultKind::Delay => "delay",
             FaultKind::Duplicate => "dup",
             FaultKind::Truncate => "truncate",
-        }
-    }
-}
-
-impl std::str::FromStr for FaultKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<FaultKind, String> {
-        match s {
-            "drop" => Ok(FaultKind::Drop),
-            "delay" => Ok(FaultKind::Delay),
-            "dup" | "duplicate" => Ok(FaultKind::Duplicate),
-            "truncate" => Ok(FaultKind::Truncate),
-            other => Err(format!("unknown fault kind `{other}`")),
         }
     }
 }
@@ -106,26 +91,13 @@ impl CrashFault {
         CrashFault::Truncate,
     ];
 
-    /// Stable lowercase name (the `FromStr` spelling, also the CI matrix
-    /// cell label).
+    /// Stable lowercase name, used in recovery-matrix cell labels and log
+    /// file names.
     pub fn as_str(&self) -> &'static str {
         match self {
             CrashFault::ShardKill => "shard-kill",
             CrashFault::Panic => "panic",
             CrashFault::Truncate => "truncate",
-        }
-    }
-}
-
-impl std::str::FromStr for CrashFault {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<CrashFault, String> {
-        match s {
-            "shard-kill" | "kill" => Ok(CrashFault::ShardKill),
-            "panic" => Ok(CrashFault::Panic),
-            "truncate" => Ok(CrashFault::Truncate),
-            other => Err(format!("unknown crash fault `{other}`")),
         }
     }
 }
@@ -549,23 +521,6 @@ mod tests {
         ));
         assert!(!err.is_retryable());
         assert_eq!(chan.transport_stats().retries, 2);
-    }
-
-    #[test]
-    fn fault_kind_parses() {
-        for kind in FaultKind::ALL {
-            assert_eq!(kind.to_string().parse::<FaultKind>().unwrap(), kind);
-        }
-        assert!("lasers".parse::<FaultKind>().is_err());
-    }
-
-    #[test]
-    fn crash_fault_parses() {
-        for fault in CrashFault::ALL {
-            assert_eq!(fault.to_string().parse::<CrashFault>().unwrap(), fault);
-        }
-        assert_eq!("kill".parse::<CrashFault>().unwrap(), CrashFault::ShardKill);
-        assert!("meteor".parse::<CrashFault>().is_err());
     }
 
     #[test]

@@ -19,8 +19,8 @@ use crate::fault::{FaultPlan, FaultyChannel};
 use crate::server::SecureServer;
 use crate::value::{ObjData, RtValue};
 use hps_ir::{
-    Block, Builtin, ClassId, ComponentId, ComponentKind, Expr, FuncId, HiddenProgram, Place,
-    Program, StmtKind, Ty,
+    Block, Builtin, ComponentId, ComponentKind, Expr, FuncId, HiddenProgram, Place, Program,
+    StmtKind, Ty,
 };
 use hps_telemetry::{Event, MetricsRecorder, MetricsSnapshot, RecorderHandle, Snapshot};
 use std::cell::RefCell;
@@ -74,12 +74,6 @@ impl ExecConfig {
         self
     }
 
-    /// Overrides the call-depth limit (builder style).
-    pub fn with_max_call_depth(mut self, max_call_depth: usize) -> ExecConfig {
-        self.max_call_depth = max_call_depth;
-        self
-    }
-
     /// Replaces the cost model (builder style).
     pub fn with_cost_model(mut self, cost_model: CostModel) -> ExecConfig {
         self.cost_model = cost_model;
@@ -113,7 +107,6 @@ pub struct Outcome {
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct SplitMeta {
     kinds: Vec<MetaKind>,
-    class_component: Vec<Option<ComponentId>>,
 }
 
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -124,36 +117,24 @@ enum MetaKind {
 }
 
 impl SplitMeta {
-    /// Derives the routing table from the open program and the hidden
-    /// program's component list.
-    pub fn derive(open: &Program, hidden: &HiddenProgram) -> SplitMeta {
-        let mut kinds = Vec::new();
-        let mut class_component = vec![None; open.classes.len()];
-        for comp in &hidden.components {
-            match &comp.kind {
-                ComponentKind::Function { .. } => kinds.push(MetaKind::Function),
-                ComponentKind::Class { class_name } => {
-                    kinds.push(MetaKind::Class);
-                    if let Some(cid) = open.class_by_name(class_name) {
-                        class_component[cid.index()] = Some(comp.id);
-                    }
-                }
-                ComponentKind::Global { .. } => kinds.push(MetaKind::Global),
-            }
-        }
-        SplitMeta {
-            kinds,
-            class_component,
-        }
+    /// Derives the routing table from the hidden program's component
+    /// list. The open program is not consulted: a component's kind alone
+    /// decides how its state is keyed.
+    pub fn derive(_open: &Program, hidden: &HiddenProgram) -> SplitMeta {
+        let kinds = hidden
+            .components
+            .iter()
+            .map(|comp| match comp.kind {
+                ComponentKind::Function { .. } => MetaKind::Function,
+                ComponentKind::Class { .. } => MetaKind::Class,
+                ComponentKind::Global { .. } => MetaKind::Global,
+            })
+            .collect();
+        SplitMeta { kinds }
     }
 
     fn kind_of(&self, c: ComponentId) -> Option<MetaKind> {
         self.kinds.get(c.index()).copied()
-    }
-
-    /// The hidden component attached to a class, if it was split.
-    pub fn component_of_class(&self, class: ClassId) -> Option<ComponentId> {
-        self.class_component.get(class.index()).copied().flatten()
     }
 }
 

@@ -124,12 +124,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Overrides the session-resume window (builder style; min 1).
-    pub fn with_resume_window(mut self, frames: usize) -> RetryPolicy {
-        self.resume_window = frames.max(1);
-        self
-    }
-
     /// The socket timeout per attempt: the per-attempt timeout, capped by
     /// the per-call deadline when one is set — a hung server must not eat
     /// the whole deadline in a single blocked read.
@@ -155,7 +149,6 @@ pub struct TcpChannel {
     writer: BufWriter<TcpStream>,
     scratch: Vec<u8>,
     interactions: u64,
-    rtt_cost: u64,
     batch_cap: usize,
     /// Where to reconnect after a retryable fault.
     addrs: Vec<SocketAddr>,
@@ -270,7 +263,6 @@ impl TcpChannel {
             writer,
             scratch: Vec::with_capacity(256),
             interactions: 0,
-            rtt_cost: 0,
             batch_cap: usize::from(u16::MAX),
             addrs,
             policy,
@@ -283,14 +275,6 @@ impl TcpChannel {
         };
         chan.handshake()?;
         Ok(chan)
-    }
-
-    /// Sets the virtual round-trip cost charged per call (builder style).
-    /// Wall-clock latency is real on this channel; the virtual cost only
-    /// matters if the caller also reads virtual time.
-    pub fn with_rtt_cost(mut self, rtt: u64) -> TcpChannel {
-        self.rtt_cost = rtt;
-        self
     }
 
     /// Overrides the per-frame batch chunking cap (builder style). The wire
@@ -535,7 +519,7 @@ impl Channel for TcpChannel {
                 });
                 self.recorder.record(Event::RoundTrip {
                     calls: 1,
-                    rtt_cost: self.rtt_cost,
+                    rtt_cost: 0,
                 });
                 Ok(CallReply { value, server_cost })
             }
@@ -572,7 +556,7 @@ impl Channel for TcpChannel {
                 }
                 self.recorder.record(Event::RoundTrip {
                     calls: calls.len() as u64,
-                    rtt_cost: self.rtt_cost,
+                    rtt_cost: 0,
                 });
                 Ok(replies)
             }
@@ -601,8 +585,10 @@ impl Channel for TcpChannel {
         self.interactions
     }
 
+    /// Wall-clock latency is real on this channel, so it charges no
+    /// virtual round-trip cost.
     fn rtt_cost(&self) -> u64 {
-        self.rtt_cost
+        0
     }
 
     fn transport_stats(&self) -> TransportStats {
@@ -844,8 +830,8 @@ impl SessionServer {
     }
 
     /// Enables executor-side crash injection (builder style): seeded
-    /// schedules of shard kills and mid-fragment panics, for drills and
-    /// the chaos-recovery CI matrix.
+    /// schedules of shard kills and mid-fragment panics, for crash drills
+    /// and the crash-recovery matrix.
     pub fn with_crash(mut self, crash: CrashConfig) -> SessionServer {
         self.crash = Some(crash);
         self

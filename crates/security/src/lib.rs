@@ -46,6 +46,6 @@ pub use estimate::Estimator;
 pub use ilp::{analyze_report, analyze_split, analyze_split_with, IlpComplexity, SecurityReport};
 pub use lattice::{Ac, AcType, Inputs};
 pub use optimize::{
-    default_targets, estimate_base_units, optimize, predict, MeasuredCost, OptimizeLadder,
-    OptimizeOutcome, PlanCostModel, PredictedCost, SeedChoice,
+    default_targets, estimate_base_units, predict, MeasuredCost, OptimizeLadder, OptimizeOutcome,
+    PlanCostModel, PredictedCost, SeedChoice,
 };

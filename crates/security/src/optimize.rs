@@ -268,7 +268,7 @@ pub struct SeedChoice {
     pub n_ilps: usize,
 }
 
-/// The result of one [`optimize`] run at a given downgrade level.
+/// What an [`OptimizeLadder`] plans at its current downgrade level.
 #[derive(Clone, PartialEq, Debug)]
 pub struct OptimizeOutcome {
     /// The plan to split with.
@@ -291,8 +291,9 @@ pub struct OptimizeOutcome {
 }
 
 /// The paper pipeline's plan — call-graph-cut function selection plus the
-/// best-ranked seed per function — as a [`SplitPlan`]. This is exactly
-/// [`optimize`] at level 0 and the plan behind every pre-existing golden.
+/// best-ranked seed per function — as a [`SplitPlan`]. This is exactly a
+/// fresh [`OptimizeLadder`]'s level-0 plan and the plan behind every
+/// pre-existing golden.
 pub fn default_targets(program: &Program, rule: SeedRule) -> SplitPlan {
     let facts = ProgramFacts::new(program);
     SplitPlan::from_targets(
@@ -310,7 +311,7 @@ pub fn default_targets(program: &Program, rule: SeedRule) -> SplitPlan {
 /// position and the contribution memo survive across levels, so a caller
 /// walking levels 0, 1, 2, … (the `hps-audit` `Planner`) pays for each
 /// candidate's single-target split *once* — while ranking it — and never
-/// splits a single candidate again. [`optimize`] is the one-shot wrapper.
+/// splits a single candidate again.
 ///
 /// The ladder also owns the original program's [`ProgramFacts`]: ranking
 /// grades every candidate against them, and a caller analyzing the
@@ -488,30 +489,6 @@ impl<'p> OptimizeLadder<'p> {
     }
 }
 
-/// Searches the hide-set space for the plan at downgrade `level` (see the
-/// module docs for the search order). Level 0 is the maximum-security
-/// combination; each further level trades the most expensive function
-/// down one notch. `base_units` is threaded into the prediction.
-///
-/// One-shot wrapper over [`OptimizeLadder`]; callers stepping through
-/// consecutive levels should hold a ladder instead, which keeps its
-/// ranking and contribution memo across levels.
-pub fn optimize(
-    program: &Program,
-    rule: SeedRule,
-    model: &PlanCostModel,
-    level: usize,
-    base_units: Option<u64>,
-) -> OptimizeOutcome {
-    let mut ladder = OptimizeLadder::new(program, rule, model.clone());
-    for _ in 0..level {
-        if !ladder.descend() {
-            break;
-        }
-    }
-    ladder.outcome(base_units)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,11 +506,22 @@ mod tests {
         }
         fn main() { print(f(1, 2) + g(3)); }";
 
+    /// The outcome of a fresh ladder stepped down to `level`.
+    fn outcome_at(p: &Program, model: &PlanCostModel, level: usize) -> OptimizeOutcome {
+        let mut ladder = OptimizeLadder::new(p, SeedRule::CostRestricted, model.clone());
+        for _ in 0..level {
+            if !ladder.descend() {
+                break;
+            }
+        }
+        ladder.outcome(None)
+    }
+
     #[test]
     fn level_zero_matches_paper_pipeline() {
         let p = hps_lang::parse(SRC).unwrap();
         let model = PlanCostModel::default();
-        let out = optimize(&p, SeedRule::CostRestricted, &model, 0, None);
+        let out = outcome_at(&p, &model, 0);
         assert_eq!(out.plan, default_targets(&p, SeedRule::CostRestricted));
         assert!(!out.choices.is_empty());
         assert!(out.choices.iter().all(|c| c.rank == 0));
@@ -545,8 +533,8 @@ mod tests {
         let p = hps_lang::parse(SRC).unwrap();
         let model = PlanCostModel::default();
         for level in 0..4 {
-            let a = optimize(&p, SeedRule::CostRestricted, &model, level, None);
-            let b = optimize(&p, SeedRule::CostRestricted, &model, level, None);
+            let a = outcome_at(&p, &model, level);
+            let b = outcome_at(&p, &model, level);
             assert_eq!(a, b, "level {level}");
         }
     }
@@ -557,7 +545,7 @@ mod tests {
         let model = PlanCostModel::default();
         let mut level = 0;
         loop {
-            let out = optimize(&p, SeedRule::CostRestricted, &model, level, None);
+            let out = outcome_at(&p, &model, level);
             if !out.more_moves {
                 assert!(out.plan.targets.is_empty());
                 break;
@@ -571,7 +559,7 @@ mod tests {
     fn prediction_charges_transport() {
         let p = hps_lang::parse(SRC).unwrap();
         let model = PlanCostModel::default();
-        let out = optimize(&p, SeedRule::CostRestricted, &model, 0, None);
+        let out = outcome_at(&p, &model, 0);
         let split = split_program(&p, &out.plan).unwrap();
         let pred = predict(&p, &split, &model, None);
         assert!(pred.call_sites > 0);
@@ -629,7 +617,7 @@ mod tests {
         let model = PlanCostModel::default();
         let mut ladder = OptimizeLadder::new(&p, SeedRule::CostRestricted, model.clone());
         for level in 0..6 {
-            let one_shot = optimize(&p, SeedRule::CostRestricted, &model, level, None);
+            let one_shot = outcome_at(&p, &model, level);
             let (outcome, split) = ladder.outcome_and_split(None);
             assert_eq!(outcome, one_shot, "level {level}");
             let split = split.expect("ladder plans split");

@@ -185,12 +185,8 @@ fn check_sharing(what: &str, program: &Program, plan: &SplitPlan) -> bool {
             }
         });
     }
-    let stats = mark_deferrable(&mut fresh, &split.changed_funcs);
+    mark_deferrable(&mut fresh, &split.changed_funcs);
     assert_eq!(fresh, split.open, "{what}: deferred marks after hardening");
-    assert_eq!(
-        stats, split.defer,
-        "{what}: deferral statistics after hardening"
-    );
     true
 }
 

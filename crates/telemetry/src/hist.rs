@@ -6,7 +6,7 @@
 //! worst-case relative error all the way to `u64::MAX`. Because the layout
 //! never adapts to the data, merging histograms is exact (bucket-wise
 //! addition) and renderings are byte-stable — the properties the golden
-//! metrics snapshots and the CI reliability matrix rely on.
+//! metrics snapshots and the fault-injection matrices rely on.
 //!
 //! Values are virtual-time cost units, counts or sizes — never wall-clock
 //! readings — so recorded histograms are fully deterministic.

@@ -16,7 +16,7 @@
 //! * **Deterministic values only.** Recorded values are virtual-time cost
 //!   units, counts and sizes — never wall-clock readings — so metric
 //!   snapshots are byte-for-byte reproducible and can be pinned as golden
-//!   files. Wall-clock timing stays quarantined in the Criterion benches
+//!   files. Wall-clock timing stays quarantined in `perfbench/`
 //!   (exposition), exactly as DESIGN.md prescribes.
 //! * **Never perturbs the program.** Recording must not touch program
 //!   output, interpreter cost/step accounting, interaction counts or the

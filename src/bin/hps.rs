@@ -23,9 +23,8 @@
 //!                                             Prometheus text format, --journal-dir
 //!                                             persists session journals so hidden
 //!                                             state survives a server restart
-//! hps client <file.ml> <addr> [selection] [--batch] [--timeout MS] [ints...]
+//! hps client <file.ml> <addr> [selection] [--batch] [--timeout MS] [--args ints...]
 //!                                             run the open component against a server
-//! hps tables [--quick]                        shortcut to the experiment harness
 //! ```
 //!
 //! `serve` and `client` must be given the same program and selection flags:
